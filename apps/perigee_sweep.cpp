@@ -18,14 +18,17 @@
 //   perigee_sweep --figure fig4a --resume               # pick up where left
 //   perigee_sweep --figure fig4a --shard 0/2            # process A
 //   perigee_sweep --figure fig4a --shard 1/2            # process B
-//   perigee_sweep --figure fig4a \
-//       --merge BENCH_fig4a.shard0of2.json,BENCH_fig4a.shard1of2.json
+//   perigee_sweep --figure fig4a --merge S0,S1          # fold them back
+//
+// where S0 and S1 are BENCH_fig4a.shard0of2.json and
+// BENCH_fig4a.shard1of2.json.
 //
 // Results are bit-identical at any --jobs value, resumed or not, sharded or
 // not; see src/runner/sweep.hpp.
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -543,7 +546,13 @@ int main(int argc, char** argv) {
 
   const runner::SweepRunner sweep_runner(
       static_cast<int>(flags.get_int("jobs")));
-  const std::size_t cell_count = runner::expand_grid(spec).size();
+  std::size_t cell_count = 0;
+  try {
+    cell_count = runner::expand_grid(spec).size();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bad grid: " << e.what() << "\n";
+    return 1;
+  }
   std::cerr << "sweep '" << spec.name << "': " << cell_count << " cells x "
             << spec.seeds << " seeds on " << sweep_runner.workers()
             << " workers";

@@ -17,8 +17,6 @@ across CI runners would be noise. Anchor pairs today:
                                                     BM_CsrChurnRefreshRebuild
   BENCH_scale.json           parallel_delta_speedup BM_BroadcastParallelDelta /
                                                     BM_BroadcastCsr
-  BENCH_scale.json           compact_speedup        BM_BroadcastCompact /
-                                                    BM_BroadcastCsr
   BENCH_queuing.json         egress_unlimited_speedup BM_BroadcastEgressUnlimited /
                                                     BM_BroadcastCsr
 
@@ -95,7 +93,7 @@ def main():
         action="store_true",
         help="hard-fail (exit 2) on a build-type mismatch, or when either "
         "side's build type cannot be determined — the Release perf lane "
-        "must never silently compare against a debug-era anchor",
+        "must never silently compare against a Debug-built anchor",
     )
     args = parser.parse_args()
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -347,16 +348,41 @@ std::vector<SlotCurves> CheckpointStore::load_all() const {
   std::error_code ec;
   fs::directory_iterator it(dir_, ec);
   if (ec) return slots;  // no directory yet: nothing to resume
+  std::vector<fs::path> paths;
   for (const auto& entry : it) {
-    if (!entry.is_regular_file() || entry.path().extension() != ".json") {
-      continue;  // .tmp staging leftovers and foreign files
+    if (entry.is_regular_file() && entry.path().extension() == ".json") {
+      paths.push_back(entry.path());  // skips .tmp leftovers, set-asides
     }
-    const std::string path = entry.path().string();
-    // write_file_atomic guarantees any present .json is complete, so a
-    // parse failure means foreign or corrupted data — refuse, don't guess.
-    const JsonValue doc = JsonValue::parse(read_file(path));
+  }
+  for (const fs::path& file : paths) {
+    const std::string path = file.string();
+    // write_file_atomic guarantees every file this store wrote was complete,
+    // so one that does not parse was damaged afterwards (disk fault, stray
+    // edit). It is moved aside and its job recomputed; only a fingerprint
+    // mismatch — another grid's data — refuses the resume.
+    const auto set_aside = [&](const std::runtime_error& e) {
+      const std::string aside = path + ".corrupt";
+      std::error_code rename_ec;
+      fs::rename(file, aside, rename_ec);
+      std::cerr << "warning: damaged checkpoint " << path << " (" << e.what()
+                << "); "
+                << (rename_ec ? "could not move it aside"
+                              : "moved to " + aside)
+                << ", its job will be recomputed\n";
+    };
+    JsonValue doc;
+    try {
+      doc = JsonValue::parse(read_file(path));
+    } catch (const std::runtime_error& e) {
+      set_aside(e);
+      continue;
+    }
     check_fingerprint(doc, fingerprint_, path);
-    slots.push_back(read_slot_body(doc, path));
+    try {
+      slots.push_back(read_slot_body(doc, path));
+    } catch (const std::runtime_error& e) {
+      set_aside(e);
+    }
   }
   return slots;
 }

@@ -37,10 +37,9 @@ std::string grid_fingerprint(const SweepSpec& spec);
 std::string scenario_signature(const core::ExperimentConfig& config);
 
 // Per-run checkpoint directory: one "cell<c>_seed<s>.json" per completed
-// job. All methods throw std::runtime_error on malformed or foreign data;
-// plain io failure on save is reported by return value so a full disk
-// mid-sweep degrades to "no checkpoint for this job" instead of aborting
-// the run.
+// job. Methods throw std::runtime_error on foreign data; a damaged job file
+// and plain io failure on save both degrade to "no checkpoint for this
+// job" instead of aborting the run.
 class CheckpointStore {
  public:
   CheckpointStore(std::string dir, std::string fingerprint);
@@ -55,7 +54,10 @@ class CheckpointStore {
 
   // Loads every job file in the directory. A missing directory is an empty
   // resume; a job file whose fingerprint differs from this run's throws —
-  // it belongs to a different grid and must not be folded in.
+  // it belongs to a different grid and must not be folded in. A damaged
+  // job file (unparseable JSON, malformed slot) is renamed to
+  // "<name>.corrupt" with a warning on stderr and left out, so the run
+  // recomputes that job.
   std::vector<SlotCurves> load_all() const;
 
   // Deletes the store's job files (by naming pattern) and the directory if

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -59,6 +60,12 @@ void append_label(std::string& label, std::string_view part) {
 }  // namespace
 
 std::vector<SweepCell> expand_grid(const SweepSpec& spec) {
+  // λ is the time until a block reaches this fraction of the hash power.
+  if (!(spec.base.coverage > 0.0 && spec.base.coverage <= 1.0)) {
+    std::ostringstream message;
+    message << "coverage " << spec.base.coverage << " is outside (0, 1]";
+    throw std::invalid_argument(message.str());
+  }
   // Axis declaration order == expansion nesting order (outermost first) ==
   // label order. Every axis is either swept (labeled values) or pinned to
   // the base config's value (single unlabeled option).

@@ -77,6 +77,8 @@ struct SweepCell {
 
 // Cartesian expansion in the axis order declared above. Algorithm::Ideal is
 // a valid axis value: its cells are evaluated analytically via run_ideal.
+// Throws std::invalid_argument when base.coverage is outside (0, 1], so a
+// bad grid fails before any job runs.
 std::vector<SweepCell> expand_grid(const SweepSpec& spec);
 
 struct CellResult {
@@ -108,7 +110,8 @@ struct SweepOptions {
 
   // Load completed slots from checkpoint_dir before running and skip them.
   // Requires checkpoint_dir. Files fingerprinted for a different grid make
-  // the run throw rather than fold in foreign data.
+  // the run throw rather than fold in foreign data; damaged files are set
+  // aside and their jobs recomputed (CheckpointStore::load_all).
   bool resume = false;
 
   // Deterministic shard split: this process runs only the jobs j

@@ -11,18 +11,14 @@
 ///  - arrival/ready outputs are laid out SoA, one contiguous per-source
 ///    stripe of an arena each (`MultiSourceResult`), so a batch performs two
 ///    allocations total instead of 2·|sources|;
-///  - the per-source relaxation replaces the 4-ary heap with a monotone
-///    `BucketQueue` whose width derives from the snapshot's minimum edge
-///    delay (graphs where that is degenerate — a zero-latency infra edge, an
-///    edgeless topology — fall back to the shared `dary_heap.hpp` path);
-///  - the ready vector is filled in one vectorizable pass after the
-///    relaxation (`ready[v] = arrival[v] + Δv`), which is bit-identical to
-///    the reference engines' per-relaxation stores because the last value
-///    they store is exactly final-arrival + Δv;
+///  - each source runs the settle-once bucket kernel of sim/parallel.hpp
+///    with a team of one on its worker's lane; the exact-grid plan is
+///    derived once per batch, and graphs it rejects (no edges, a zero
+///    minimum delay, too wide a key span) take the kernel's heap fallback;
 ///  - sources fan out across an optional `runner::ThreadPool`: each worker
-///    lane owns its queue/settled scratch, every source writes its
-///    pre-assigned stripe, and results are therefore byte-identical at any
-///    worker count — the same determinism contract as the sweep runner.
+///    owns one scratch lane, every source writes its pre-assigned stripe,
+///    and results are therefore byte-identical at any worker count — the
+///    same determinism contract as the sweep runner.
 ///
 /// Outputs are byte-for-byte identical to both the legacy Topology-walking
 /// engine and the single-source CSR engine; `tests/sim_engine_diff_test.cpp`
@@ -30,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -38,7 +35,6 @@
 #include "net/csr.hpp"
 #include "net/types.hpp"
 #include "sim/broadcast.hpp"
-#include "sim/bucket_queue.hpp"
 #include "sim/dary_heap.hpp"
 #include "util/aligned.hpp"
 
@@ -98,8 +94,9 @@ struct MultiSourceResult {
   void extract(std::size_t s, BroadcastResult& out) const;
 };
 
-/// Reusable arena of per-worker scratch lanes (bucket queue, heap fallback,
-/// settled flags, one stripe pair for the streaming form, λ sort buffer).
+/// Reusable arena of per-worker scratch lanes (bucket ring, settled flags,
+/// team outboxes, heap fallback, one stripe pair for the streaming form, λ
+/// sort buffers).
 /// Lanes are grown on demand and survive across batches, so a sweep cell
 /// running thousands of rounds performs no steady-state allocation. Not
 /// thread-safe to share across concurrent *batches*; within one batch each
@@ -121,27 +118,41 @@ class MultiSourceScratch {
   void ensure_lanes(std::size_t count);
 
   /// Heap bytes across all lanes; reported through the
-  /// `mem.batch_scratch_bytes` obs gauge after each batch (memory-budget
-  /// accounting for the scale path, next to `mem.csr_bytes` and
-  /// `mem.parallel_scratch_bytes`).
+  /// `mem.batch_scratch_bytes` obs gauge after each batch or team broadcast
+  /// (memory-budget accounting for the scale path, next to
+  /// `mem.csr_bytes`).
   std::size_t memory_bytes() const;
 
  private:
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
-/// Per-worker scratch: engine internals plus a caller-usable sort buffer.
-/// (No settled array: the engine detects stale queue entries by comparing
-/// the popped key against the node's current arrival instead.)
+/// Per-worker scratch: the relaxation kernel's state (sim/parallel.cpp)
+/// plus caller-usable stripes and sort buffers.
 ///
 /// alignas(64): each lane object starts on its own cache line, so the hot
-/// scalar state of two workers' lanes (queue cursors, vector headers) never
+/// scalar state of two workers' lanes (ring cursors, vector headers) never
 /// shares one — the vectors' heap blocks are naturally distinct already.
 /// `tests/sim_batch_layout_test.cpp` guards both this and the stripe
 /// padding above against regression.
 struct alignas(64) MultiSourceScratch::Lane {
-  BucketQueue queue;                  ///< fast-path relaxation queue
-  std::vector<HeapItem> heap;         ///< fallback 4-ary heap storage
+  /// A candidate for a node another team member owns, buffered until the
+  /// merge phase.
+  struct Candidate {
+    net::NodeId node;
+    double key;
+  };
+
+  /// Bucket ring: a power-of-two window over absolute bucket indices
+  /// (slot = index & mask) holding the node ids queued in each bucket.
+  std::vector<std::vector<net::NodeId>> ring;
+  std::vector<std::uint64_t> occupied;  ///< per-slot non-empty bits
+  std::uint64_t mask = 0;               ///< ring capacity - 1
+  std::size_t pending = 0;              ///< entries across the ring
+  std::uint64_t next_bucket = 0;        ///< this member's next-bucket vote
+  std::vector<std::vector<Candidate>> outbox;  ///< per target team member
+  std::vector<std::uint8_t> settled;  ///< per owned node
+  std::vector<HeapItem> heap;         ///< heap-fallback storage
   std::vector<double> arrival;        ///< streaming-form stripe
   std::vector<double> ready;          ///< streaming-form stripe
   /// (arrival, hash power) pairs for the λ coverage accumulation; lives here

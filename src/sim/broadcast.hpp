@@ -8,17 +8,17 @@
 ///   ready(u)    = arrival(u) + Δu          (the miner skips validation)
 /// which a Dijkstra-style relaxation computes exactly in O(E log V).
 ///
-/// Three interchangeable engines compute that relaxation:
+/// Three engines compute that relaxation, all to the same bytes:
 ///  - the reference engine walks `net::Topology` link lists through a
 ///    binary `std::priority_queue`, resolving δ per edge visit;
 ///  - the single-source CSR engine runs on a compiled `net::CsrTopology`
 ///    (pre-resolved δ, contiguous rows) with a 4-ary heap and caller-owned
-///    reusable scratch buffers, and serves as the parity oracle for
-///  - the batched multi-source engine (sim/batch.hpp): all sources of a
-///    round or a λ evaluation over one compile, a monotone bucket queue in
-///    place of the heap, SoA per-source result stripes, and optional
-///    source-level `runner::ThreadPool` parallelism — the one the round
-///    loop and the metrics use.
+///    reusable scratch buffers.
+///  Both are kept as parity oracles and for single-shot callers. The round
+///  loop and the metrics use the third:
+///  - the settle-once bucket kernel (sim/parallel.hpp) over the same CSR,
+///    run per source by the batched engine (sim/batch.hpp) or by a worker
+///    team inside one source.
 /// Their outputs are bit-identical — arrival is the exact minimum over
 /// identical per-path sums, independent of relaxation order — and
 /// `tests/sim_csr_parity_test.cpp` + `tests/sim_engine_diff_test.cpp`
@@ -47,9 +47,9 @@ struct BroadcastResult {
 /// Reusable per-worker arena for the single-source CSR engine: the heap and
 /// settled buffers survive across calls, so a caller simulating many blocks
 /// allocates them once. Not thread-safe; give each worker its own instance.
-/// (The round loop and the multi-source eval run on the batched engine's
-/// `MultiSourceScratch` arena instead — this one serves the parity oracle
-/// and single-shot callers.)
+/// (The round loop and the multi-source eval run the relaxation kernel on
+/// the batched engine's `MultiSourceScratch` arena instead — this one
+/// serves the parity oracle and single-shot callers.)
 struct BroadcastScratch {
   std::vector<std::pair<double, net::NodeId>> heap;  ///< 4-ary (arrival, node)
   std::vector<std::uint8_t> settled;                 ///< per-node visited flag

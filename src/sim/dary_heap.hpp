@@ -1,6 +1,7 @@
 /// \file
 /// \brief 4-ary min-heap over (key, node) pairs, shared by the single-source
-/// CSR engine and the batched engine's fallback path.
+/// CSR engine, the relaxation kernel's heap fallback and the egress event
+/// loop.
 ///
 /// Ordered lexicographically — the same total order
 /// `std::priority_queue<pair, greater<>>` pops in, so every engine built on
@@ -22,9 +23,8 @@ namespace perigee::sim {
 inline constexpr std::size_t kHeapArity = 4;
 
 /// One heap element: (arrival-time key, node). The functions below are
-/// templated so the compact fixed-point engine can reuse them with
-/// integer-keyed items; lexicographic `operator<` defines the order either
-/// way.
+/// templated so the egress engine can reuse them with its event records;
+/// `operator<` defines the order either way.
 using HeapItem = std::pair<double, net::NodeId>;
 
 /// Sift-up insertion. The item parameter is a non-deduced context so braced

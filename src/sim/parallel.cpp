@@ -4,6 +4,9 @@
 #include <barrier>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -15,129 +18,6 @@
 #include "util/stats.hpp"
 
 namespace perigee::sim {
-namespace {
-
-/// "No pending bucket" sentinel for the next-bucket vote.
-constexpr std::uint64_t kNoBucket = std::numeric_limits<std::uint64_t>::max();
-/// Hard per-lane ring ceiling, matching BucketQueue::kMaxBuckets.
-constexpr std::uint64_t kMaxRingBuckets = std::uint64_t{1} << 20;
-
-}  // namespace
-
-/// Per-worker lane. The ring is a power-of-two window over absolute bucket
-/// indices (slot = index & mask) holding bare node ids — settled-once means
-/// entries need no keys; a stale duplicate is skipped by the settled bitmap.
-///
-/// alignas(64): team members hammer their own lane's cursors and outboxes
-/// every bucket round; starting each lane on its own cache line keeps that
-/// traffic private (same guard as MultiSourceScratch::Lane).
-struct alignas(64) ParallelScratch::Lane {
-  /// A buffered remote relaxation: the target node and the candidate key's
-  /// bit pattern (doubles are carried through std::bit_cast so one buffer
-  /// type serves both the double and the u64 fixed-point world).
-  struct Candidate {
-    std::uint32_t node;
-    std::uint64_t key_bits;
-  };
-
-  std::vector<std::vector<std::uint32_t>> ring;  ///< bucket slots (node ids)
-  std::vector<std::uint64_t> occupied;           ///< per-slot non-empty bits
-  std::uint64_t mask = 0;
-  std::size_t pending = 0;
-  std::vector<std::vector<Candidate>> outbox;  ///< per target worker
-  std::vector<std::uint8_t> settled;           ///< per owned node
-  std::vector<HeapItem> heap;                  ///< double fallback storage
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> heap_q;  ///< compact
-
-  void ensure_ring(std::uint64_t cap) {
-    if (!ring.empty() && mask + 1 >= cap) return;
-    ring.resize(cap);
-    occupied.assign(cap >> 6, 0);
-    mask = cap - 1;
-  }
-
-  void insert(std::uint64_t bucket, std::uint32_t node) {
-    const std::uint64_t slot = bucket & mask;
-    std::vector<std::uint32_t>& vec = ring[slot];
-    if (vec.empty()) occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    vec.push_back(node);
-    ++pending;
-  }
-
-  /// Drains bookkeeping for the just-relaxed bucket.
-  void drop_bucket(std::uint64_t bucket) {
-    const std::uint64_t slot = bucket & mask;
-    pending -= ring[slot].size();
-    ring[slot].clear();
-    occupied[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  }
-
-  /// Smallest non-empty absolute bucket index > `cur`; kNoBucket when the
-  /// lane is drained. All pending entries lie within (cur, cur + capacity]
-  /// (inserts are bounded by one relaxation reach, which the ring was sized
-  /// to), so one pass over the window suffices. The word scan is aligned:
-  /// ring capacity is a multiple of 64, so within any occupancy word the
-  /// absolute indices are contiguous.
-  std::uint64_t next_nonempty_after(std::uint64_t cur) const {
-    if (pending == 0) return kNoBucket;
-    const std::uint64_t cap = mask + 1;
-    std::uint64_t idx = cur + 1;
-    const std::uint64_t end = cur + cap;
-    while (idx <= end) {
-      const std::uint64_t slot = idx & mask;
-      const std::uint64_t word = occupied[slot >> 6] >> (slot & 63);
-      if (word != 0) {
-        return idx + static_cast<std::uint64_t>(std::countr_zero(word));
-      }
-      idx += 64 - (slot & 63);
-    }
-    return kNoBucket;
-  }
-
-  std::size_t memory_bytes() const {
-    std::size_t bytes = ring.capacity() * sizeof(ring[0]) +
-                        occupied.capacity() * sizeof(std::uint64_t) +
-                        settled.capacity() +
-                        outbox.capacity() * sizeof(outbox[0]) +
-                        heap.capacity() * sizeof(HeapItem) +
-                        heap_q.capacity() * sizeof(heap_q[0]);
-    for (const auto& slot : ring) {
-      bytes += slot.capacity() * sizeof(std::uint32_t);
-    }
-    for (const auto& box : outbox) {
-      bytes += box.capacity() * sizeof(Candidate);
-    }
-    return bytes;
-  }
-};
-
-static_assert(alignof(ParallelScratch::Lane) >= 64,
-              "parallel lanes must be cache-line aligned");
-
-ParallelScratch::ParallelScratch() = default;
-ParallelScratch::~ParallelScratch() = default;
-ParallelScratch::ParallelScratch(ParallelScratch&&) noexcept = default;
-ParallelScratch& ParallelScratch::operator=(ParallelScratch&&) noexcept =
-    default;
-
-ParallelScratch::Lane& ParallelScratch::lane(std::size_t i) {
-  PERIGEE_ASSERT(i < lanes_.size());
-  return *lanes_[i];
-}
-
-std::size_t ParallelScratch::lanes() const { return lanes_.size(); }
-
-void ParallelScratch::ensure_lanes(std::size_t count) {
-  while (lanes_.size() < count) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
-}
-
-std::size_t ParallelScratch::memory_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& lane : lanes_) bytes += lane->memory_bytes();
-  return bytes;
-}
 
 const char* relax_engine_name(RelaxEngine engine) {
   switch (engine) {
@@ -159,19 +39,262 @@ std::optional<RelaxEngine> relax_engine_from_name(std::string_view name) {
 
 namespace {
 
-/// Exact-bucketing plan for the double world: a power-of-two grid whose
-/// bucket width respects the min-δ/2 ceiling as an integer inequality, with
-/// headroom guards so every bucket boundary is an exactly representable
-/// double (see the file comment in parallel.hpp).
-struct ParallelPlan {
-  bool use_buckets = false;
-  double scale = 1.0;
-  int shift = 0;
-  std::uint64_t ring_cap = 64;
-};
+using Lane = MultiSourceScratch::Lane;
 
-ParallelPlan make_parallel_plan(const net::CsrTopology& csr) {
-  ParallelPlan plan;
+/// "No pending bucket" sentinel for the next-bucket vote.
+constexpr std::uint64_t kNoBucket = std::numeric_limits<std::uint64_t>::max();
+/// Hard per-lane ring ceiling.
+constexpr std::uint64_t kMaxRingBuckets = std::uint64_t{1} << 20;
+
+// The lane's bucket ring is a power-of-two window over absolute bucket
+// indices (slot = index & mask) holding bare node ids — settle-once means
+// entries need no keys; a stale duplicate is skipped by the settled flag.
+
+void ensure_ring(Lane& lane, std::uint64_t cap) {
+  if (!lane.ring.empty() && lane.mask + 1 >= cap) return;
+  lane.ring.resize(cap);
+  lane.occupied.assign(cap >> 6, 0);
+  lane.mask = cap - 1;
+}
+
+void insert(Lane& lane, std::uint64_t bucket, net::NodeId node) {
+  const std::uint64_t slot = bucket & lane.mask;
+  std::vector<net::NodeId>& vec = lane.ring[slot];
+  if (vec.empty()) lane.occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  vec.push_back(node);
+  ++lane.pending;
+}
+
+/// Drops the just-relaxed bucket's entries.
+void drop_bucket(Lane& lane, std::uint64_t bucket) {
+  const std::uint64_t slot = bucket & lane.mask;
+  lane.pending -= lane.ring[slot].size();
+  lane.ring[slot].clear();
+  lane.occupied[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+}
+
+/// Smallest non-empty absolute bucket index > `cur`; kNoBucket when the
+/// lane is drained. All pending entries lie within (cur, cur + capacity]
+/// (inserts are bounded by one relaxation reach, which the ring was sized
+/// to), so one pass over the window suffices. The word scan is aligned:
+/// ring capacity is a multiple of 64, so within any occupancy word the
+/// absolute indices are contiguous.
+std::uint64_t next_nonempty_after(const Lane& lane, std::uint64_t cur) {
+  if (lane.pending == 0) return kNoBucket;
+  std::uint64_t idx = cur + 1;
+  const std::uint64_t end = cur + lane.mask + 1;
+  while (idx <= end) {
+    const std::uint64_t slot = idx & lane.mask;
+    const std::uint64_t word = lane.occupied[slot >> 6] >> (slot & 63);
+    if (word != 0) {
+      return idx + static_cast<std::uint64_t>(std::countr_zero(word));
+    }
+    idx += 64 - (slot & 63);
+  }
+  return kNoBucket;
+}
+
+/// The team's settle-once drain. Every member owns the contiguous node
+/// range [member * chunk, ...): it is the only writer of those arrival
+/// entries and of its own lane. Each non-empty bucket costs two barrier
+/// phases in a real team:
+///
+///   relax:  drain my slice of the current bucket; owned targets update in
+///           place, remote targets buffer into per-owner outboxes (no
+///           cross-range reads — a pre-check against the owner's arrival
+///           would race);
+///   merge:  apply the inboxes addressed to me in fixed member order, then
+///           vote my next non-empty bucket; the second barrier's completion
+///           picks the global minimum.
+///
+/// A team of one owns every node, so its outboxes stay empty and it picks
+/// its own next bucket without a barrier. Settle-once (see parallel.hpp)
+/// makes any relax interleaving produce the same bytes, so the team size
+/// never shows in the output.
+void delta_step_team(const net::CsrTopology& csr, const RelaxPlan& plan,
+                     net::NodeId src, MultiSourceScratch& scratch,
+                     std::size_t first_lane, unsigned members,
+                     double* arrival, runner::ThreadPool* pool) {
+  const std::size_t n = csr.size();
+  const std::size_t chunk = (n + members - 1) / members;
+  const std::size_t* offsets = csr.offsets();
+  const std::size_t* row_ends = csr.row_ends();
+  const net::NodeId* peers = csr.peer_data();
+  const double* delays = csr.delay_data();
+  // Exact: key * scale is an exponent shift (scale is a power of two), the
+  // cast truncation is the true floor.
+  const auto bucket_of = [scale = plan.scale, shift = plan.shift](double key) {
+    return static_cast<std::uint64_t>(key * scale) >> shift;
+  };
+
+  struct Shared {
+    std::uint64_t cur = 0;
+    bool done = false;
+  } shared;
+  auto pick_next = [&]() noexcept {
+    std::uint64_t best = kNoBucket;
+    for (unsigned w = 0; w < members; ++w) {
+      best = std::min(best, scratch.lane(first_lane + w).next_bucket);
+    }
+    shared.cur = best;
+    shared.done = best == kNoBucket;
+  };
+  std::optional<std::barrier<>> relax_done;
+  std::optional<std::barrier<decltype(pick_next)>> merge_done;
+  if (members > 1) {
+    relax_done.emplace(members);
+    merge_done.emplace(members, pick_next);
+  }
+
+  // The hot pointers are captured by value and the lane's vectors read
+  // through local pointers: the settled-flag byte stores and the ring
+  // pushes could otherwise alias them and force a reload per entry.
+  auto member = [&, offsets, row_ends, peers, delays, arrival,
+                 bucket_of](unsigned w) {
+    Lane& lane = scratch.lane(first_lane + w);
+    const auto lo = static_cast<net::NodeId>(std::min(w * chunk, n));
+    const auto hi = static_cast<net::NodeId>(std::min(lo + chunk, n));
+    ensure_ring(lane, plan.ring_cap);
+    lane.outbox.resize(members);
+    lane.settled.assign(hi - lo, 0);
+    std::uint8_t* const settled = lane.settled.data();  // by u - lo
+    std::fill(arrival + lo, arrival + hi, util::kInf);
+    if (src >= lo && src < hi) {
+      arrival[src] = 0.0;
+      insert(lane, 0, src);
+    }
+    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_pops = 0);
+    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_stale = 0);
+    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_remote = 0);
+    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_buckets = 0);
+    while (true) {
+      const std::uint64_t cur = shared.cur;
+      PERIGEE_TELEMETRY_ONLY(++tally_buckets;)
+      for (unsigned t = 0; t < members; ++t) lane.outbox[t].clear();
+      // Stable while draining: every insert lands in a later bucket, and
+      // the ring is sized so no later bucket shares this slot.
+      const std::vector<net::NodeId>& slot = lane.ring[cur & lane.mask];
+      const net::NodeId* const entries = slot.data();
+      const std::size_t count = slot.size();
+      PERIGEE_TELEMETRY_ONLY(tally_pops += count;)
+      for (std::size_t i = 0; i < count; ++i) {
+        const net::NodeId u = entries[i];
+        if (i + 1 < count) {
+          // Overlap the next entry's data-dependent loads with this row.
+          PERIGEE_PREFETCH(&arrival[entries[i + 1]]);
+          PERIGEE_PREFETCH(&settled[entries[i + 1] - lo]);
+        }
+        // Branchless settle: a stale duplicate or non-forwarding node scans
+        // an empty row (row_end collapsed onto row_begin) instead of taking
+        // a branch the predictor can't learn. The flag is written
+        // unconditionally; a stale entry's ready value is computed but
+        // never used.
+        const std::uint8_t was_settled = settled[u - lo];
+        settled[u - lo] = 1;
+        const bool live =
+            (was_settled == 0) & (csr.forwards(u) | (u == src));
+        PERIGEE_TELEMETRY_ONLY(tally_stale += was_settled;)
+        const double ready_u =
+            u == src ? 0.0 : arrival[u] + csr.validation_ms(u);
+        const std::size_t row_begin = offsets[u];
+        const std::size_t row_end = live ? row_ends[u] : row_begin;
+        for (std::size_t e = row_begin; e < row_end; ++e) {
+          const net::NodeId v = peers[e];
+          const double cand = ready_u + delays[e];
+          if (v >= lo && v < hi) {
+            if (cand < arrival[v]) {
+              arrival[v] = cand;
+              // The exact-grid argument puts every candidate in a bucket
+              // > cur already; the max is belt-and-braces, not a rounding
+              // repair.
+              insert(lane, std::max(bucket_of(cand), cur + 1), v);
+            }
+          } else {
+            PERIGEE_TELEMETRY_ONLY(++tally_remote;)
+            lane.outbox[v / chunk].push_back({v, cand});
+          }
+        }
+      }
+      drop_bucket(lane, cur);
+      if (members == 1) {
+        shared.cur = next_nonempty_after(lane, cur);
+        shared.done = shared.cur == kNoBucket;
+      } else {
+        relax_done->arrive_and_wait();
+        // Merge: inboxes in fixed member order — deterministic, though
+        // settle-once means any order would yield the same bytes.
+        for (unsigned w2 = 0; w2 < members; ++w2) {
+          for (const auto& c : scratch.lane(first_lane + w2).outbox[w]) {
+            if (c.key < arrival[c.node]) {
+              arrival[c.node] = c.key;
+              insert(lane, std::max(bucket_of(c.key), cur + 1), c.node);
+            }
+          }
+        }
+        lane.next_bucket = next_nonempty_after(lane, cur);
+        merge_done->arrive_and_wait();
+      }
+      if (shared.done) break;
+    }
+    PERIGEE_COUNTER_ADD("engine.bucket.pops", tally_pops);
+    PERIGEE_COUNTER_ADD("engine.bucket.stale_pops", tally_stale);
+    if (w == 0) PERIGEE_COUNTER_ADD("engine.bucket.rounds", tally_buckets);
+    if (members > 1) {
+      PERIGEE_COUNTER_ADD("engine.team.remote_candidates", tally_remote);
+    }
+  };
+
+  if (members == 1) {
+    member(0);
+  } else {
+    runner::run_team(*pool, members, member);
+  }
+}
+
+/// The sequential fallback for graphs the exact grid rejects: a lazy
+/// decrease-key Dijkstra over the 4-ary heap. Arrival is the exact minimum
+/// over identical per-path sums, so the bytes match the kernel's.
+void solve_heap(const net::CsrTopology& csr, net::NodeId src,
+                std::vector<HeapItem>& heap, double* arrival) {
+  const std::size_t n = csr.size();
+  std::fill_n(arrival, n, util::kInf);
+  arrival[src] = 0.0;
+  const std::size_t* offsets = csr.offsets();
+  const std::size_t* row_ends = csr.row_ends();
+  const net::NodeId* peers = csr.peer_data();
+  const double* delays = csr.delay_data();
+  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_pops = 0);
+  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_stale = 0);
+  heap.clear();
+  heap_push(heap, {0.0, src});
+  while (!heap.empty()) {
+    const auto [t, u] = heap_pop(heap);
+    PERIGEE_TELEMETRY_ONLY(++tally_pops;)
+    if (t != arrival[u]) {  // stale: u settled at a smaller key
+      PERIGEE_TELEMETRY_ONLY(++tally_stale;)
+      continue;
+    }
+    if (!csr.forwards(u) && u != src) continue;
+    const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
+    const std::size_t row_end = row_ends[u];
+    for (std::size_t e = offsets[u]; e < row_end; ++e) {
+      const net::NodeId v = peers[e];
+      const double cand = ready_u + delays[e];
+      if (cand < arrival[v]) {
+        arrival[v] = cand;
+        heap_push(heap, {cand, v});
+      }
+    }
+  }
+  PERIGEE_COUNTER_ADD("engine.heap.sources", 1);
+  PERIGEE_COUNTER_ADD("engine.heap.pops", tally_pops);
+  PERIGEE_COUNTER_ADD("engine.heap.stale_pops", tally_stale);
+}
+
+}  // namespace
+
+RelaxPlan make_relax_plan(const net::CsrTopology& csr) {
+  RelaxPlan plan;
   const double min_delay = csr.min_delay_ms();
   const double max_reach = csr.max_delay_ms() + csr.max_validation_ms();
   if (csr.num_links() == 0 || !(min_delay > 0.0) ||
@@ -183,7 +306,7 @@ ParallelPlan make_parallel_plan(const net::CsrTopology& csr) {
   // ... coarsened until the largest conceivable key (<= n relaxations of
   // max_reach each, doubled for slack) quantizes below 2^52 — the bound
   // under which bucket boundaries (index * width / scale) are exact doubles
-  // and the settled-once argument is airtight rather than probabilistic.
+  // and the settle-once argument is airtight rather than probabilistic.
   const double max_key_bound =
       (static_cast<double>(csr.size()) + 1.0) * max_reach * 2.0;
   while (grid.exponent > -1060 && max_key_bound * grid.scale >= 0x1p52) {
@@ -204,304 +327,53 @@ ParallelPlan make_parallel_plan(const net::CsrTopology& csr) {
   return plan;
 }
 
-/// The two instantiations of the bucket-synchronous core. A world bundles
-/// the graph arrays and the key arithmetic; `Key` is double (bit-parity
-/// world) or u64 (compact fixed-point world).
-struct DoubleWorld {
-  using Key = double;
-  const net::CsrTopology* csr;
-  double scale;
-  int shift;
-  std::size_t n;
-  const std::size_t* offsets;
-  const std::size_t* row_ends;
-  const net::NodeId* peers;
-  const double* delays;
-
-  static constexpr Key unreached() { return util::kInf; }
-  std::size_t row_begin(std::uint32_t u) const { return offsets[u]; }
-  std::size_t row_end(std::uint32_t u) const { return row_ends[u]; }
-  std::uint32_t peer(std::size_t e) const { return peers[e]; }
-  bool forwards(std::uint32_t u) const { return csr->forwards(u); }
-  Key ready_of(Key t, std::uint32_t u) const {
-    return t + csr->validation_ms(u);
-  }
-  Key cand_of(Key ready, std::size_t e) const { return ready + delays[e]; }
-  /// Exact: key * scale is an exponent shift (scale is a power of two), the
-  /// cast truncation is the true floor.
-  std::uint64_t bucket_of(Key key) const {
-    return static_cast<std::uint64_t>(key * scale) >> shift;
-  }
-  static std::uint64_t to_bits(Key key) {
-    return std::bit_cast<std::uint64_t>(key);
-  }
-  static Key from_bits(std::uint64_t bits) {
-    return std::bit_cast<Key>(bits);
-  }
-};
-
-struct CompactWorld {
-  using Key = std::uint64_t;
-  const net::CompactCsr* csr;
-  int shift;
-  std::size_t n;
-  const std::uint32_t* offsets;
-  const std::uint32_t* peers;
-  const std::uint32_t* delays;
-
-  static constexpr Key unreached() { return kUnreachedQ; }
-  std::size_t row_begin(std::uint32_t u) const { return offsets[u]; }
-  std::size_t row_end(std::uint32_t u) const { return offsets[u + 1]; }
-  std::uint32_t peer(std::size_t e) const { return peers[e]; }
-  bool forwards(std::uint32_t u) const { return csr->forwards(u); }
-  Key ready_of(Key t, std::uint32_t u) const {
-    return t + csr->validation_q(u);
-  }
-  Key cand_of(Key ready, std::size_t e) const { return ready + delays[e]; }
-  std::uint64_t bucket_of(Key key) const { return key >> shift; }
-  static std::uint64_t to_bits(Key key) { return key; }
-  static Key from_bits(std::uint64_t bits) { return bits; }
-};
-
-/// The bucket-synchronous team. Every member owns the contiguous node range
-/// [member * chunk, ...): it is the only writer of those arrival entries and
-/// of its own lane. Each non-empty bucket costs two barrier phases:
-///
-///   relax:  drain my slice of the current bucket; owned targets update in
-///           place, remote targets buffer into per-owner outboxes (no
-///           cross-range reads — a pre-check against the owner's arrival
-///           would race);
-///   merge:  apply the inboxes addressed to me in fixed member order, then
-///           vote my next non-empty bucket; the second barrier's completion
-///           picks the global minimum.
-///
-/// Settled-once (see parallel.hpp) makes any relax interleaving produce the
-/// same bytes, so worker count never shows in the output.
-template <typename World>
-void delta_step_team(const World& world, std::uint32_t src,
-                     ParallelScratch& scratch, unsigned members,
-                     std::uint64_t ring_cap, typename World::Key* arrival,
-                     runner::ThreadPool* pool) {
-  using Key = typename World::Key;
-  const std::size_t n = world.n;
-  const std::size_t chunk = (n + members - 1) / members;
-
-  struct Shared {
-    std::vector<std::uint64_t> next_of;
-    std::uint64_t cur = 0;
-    bool done = false;
-  } shared;
-  shared.next_of.assign(members, kNoBucket);
-  auto pick_next = [&shared]() noexcept {
-    std::uint64_t best = kNoBucket;
-    for (const std::uint64_t next : shared.next_of) {
-      best = std::min(best, next);
-    }
-    shared.cur = best;
-    shared.done = best == kNoBucket;
-  };
-  std::barrier relax_done(members);
-  std::barrier merge_done(members, pick_next);
-
-  auto member = [&](unsigned w) {
-    ParallelScratch::Lane& lane = scratch.lane(w);
-    const std::uint32_t lo =
-        static_cast<std::uint32_t>(std::min(w * chunk, n));
-    const std::uint32_t hi =
-        static_cast<std::uint32_t>(std::min(lo + chunk, n));
-    lane.ensure_ring(ring_cap);
-    lane.outbox.resize(members);
-    lane.settled.assign(hi - lo, 0);
-    std::fill(arrival + lo, arrival + hi, World::unreached());
-    if (src >= lo && src < hi) {
-      arrival[src] = Key{};
-      lane.insert(0, src);
-    }
-    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_relaxed = 0);
-    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_remote = 0);
-    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_buckets = 0);
-    while (true) {
-      const std::uint64_t cur = shared.cur;
-      PERIGEE_TELEMETRY_ONLY(++tally_buckets;)
-      for (unsigned t = 0; t < members; ++t) lane.outbox[t].clear();
-      const std::vector<std::uint32_t>& slot = lane.ring[cur & lane.mask];
-      for (std::size_t i = 0; i < slot.size(); ++i) {
-        const std::uint32_t u = slot[i];
-        if (i + 1 < slot.size()) {
-          // Overlap the next entry's data-dependent loads with this row.
-          PERIGEE_PREFETCH(&arrival[slot[i + 1]]);
-          PERIGEE_PREFETCH(&lane.settled[slot[i + 1] - lo]);
-        }
-        // Branchless settle (same transform as batch.cpp): a stale
-        // duplicate or non-forwarding node scans an empty row instead of
-        // branching. Settled-once semantics are preserved — the flag is
-        // written unconditionally, and a stale entry's arrival reads are
-        // harmless (its computed candidates are never used).
-        const std::uint8_t was_settled = lane.settled[u - lo];
-        lane.settled[u - lo] = 1;
-        const bool live =
-            (was_settled == 0) & (world.forwards(u) | (u == src));
-        const Key t = arrival[u];
-        const Key ready_u = u == src ? Key{} : world.ready_of(t, u);
-        const std::size_t row_begin = world.row_begin(u);
-        const std::size_t row_end = live ? world.row_end(u) : row_begin;
-        PERIGEE_TELEMETRY_ONLY(tally_relaxed += live ? 1 : 0;)
-        for (std::size_t e = row_begin; e < row_end; ++e) {
-          const std::uint32_t v = world.peer(e);
-          const Key cand = world.cand_of(ready_u, e);
-          if (v >= lo && v < hi) {
-            if (cand < arrival[v]) {
-              arrival[v] = cand;
-              // The exact-grid argument puts every candidate in a bucket
-              // > cur already; the max is belt-and-braces, not a rounding
-              // repair.
-              lane.insert(std::max(world.bucket_of(cand), cur + 1), v);
-            }
-          } else {
-            PERIGEE_TELEMETRY_ONLY(++tally_remote;)
-            lane.outbox[v / chunk].push_back({v, World::to_bits(cand)});
-          }
-        }
-      }
-      lane.drop_bucket(cur);
-      relax_done.arrive_and_wait();
-      // Merge: inboxes in fixed member order — deterministic, though
-      // settled-once means any order would yield the same bytes.
-      for (unsigned w2 = 0; w2 < members; ++w2) {
-        for (const auto& c : scratch.lane(w2).outbox[w]) {
-          const Key cand = World::from_bits(c.key_bits);
-          if (cand < arrival[c.node]) {
-            arrival[c.node] = cand;
-            lane.insert(std::max(world.bucket_of(cand), cur + 1), c.node);
-          }
-        }
-      }
-      shared.next_of[w] = lane.next_nonempty_after(cur);
-      merge_done.arrive_and_wait();
-      if (shared.done) break;
-    }
-    PERIGEE_COUNTER_ADD("engine.parallel.relaxed", tally_relaxed);
-    PERIGEE_COUNTER_ADD("engine.parallel.remote_candidates", tally_remote);
-    if (w == 0) {
-      PERIGEE_COUNTER_ADD("engine.parallel.bucket_rounds", tally_buckets);
-    }
-  };
-
-  if (members == 1) {
-    member(0);
-  } else {
-    runner::run_team(*pool, members, member);
-  }
-}
-
-/// Sequential heap fallback for the double world — the same relaxation the
-/// batched engine runs on non-viable graphs, so the bytes agree with it by
-/// construction (identical operation sequence), not just by the fixed-point
-/// argument.
-void solve_heap(const net::CsrTopology& csr, net::NodeId src,
-                std::vector<HeapItem>& heap, double* arrival) {
-  const std::size_t n = csr.size();
-  std::fill_n(arrival, n, util::kInf);
-  arrival[src] = 0.0;
-  const std::size_t* offsets = csr.offsets();
-  const std::size_t* row_ends = csr.row_ends();
-  const net::NodeId* peers = csr.peer_data();
-  const double* delays = csr.delay_data();
-  heap.clear();
-  heap_push(heap, {0.0, src});
-  while (!heap.empty()) {
-    const auto [t, u] = heap_pop(heap);
-    if (t != arrival[u]) continue;  // stale: u settled at a smaller key
-    if (!csr.forwards(u) && u != src) continue;
-    const double ready_u = u == src ? 0.0 : t + csr.validation_ms(u);
-    const std::size_t row_end = row_ends[u];
-    for (std::size_t e = offsets[u]; e < row_end; ++e) {
-      const net::NodeId v = peers[e];
-      const double cand = ready_u + delays[e];
-      if (cand < arrival[v]) {
-        arrival[v] = cand;
-        heap_push(heap, {cand, v});
-      }
-    }
-  }
-  PERIGEE_COUNTER_ADD("engine.parallel.heap_sources", 1);
-}
-
-/// Integer-key analogue for the compact world's degenerate graphs (a delay
-/// that quantizes to 0 or 1 admits no correct bucket width).
-void solve_heap_compact(const net::CompactCsr& csr, net::NodeId src,
-                        std::vector<std::pair<std::uint64_t, std::uint32_t>>&
-                            heap,
-                        std::uint64_t* arrival) {
-  const std::size_t n = csr.size();
-  std::fill_n(arrival, n, kUnreachedQ);
-  arrival[src] = 0;
-  const std::uint32_t* offsets = csr.offsets();
-  const std::uint32_t* peers = csr.peer_data();
-  const std::uint32_t* delays = csr.delay_data();
-  heap.clear();
-  heap_push(heap, {std::uint64_t{0}, src});
-  while (!heap.empty()) {
-    const auto [t, u] = heap_pop(heap);
-    if (t != arrival[u]) continue;
-    if (!csr.forwards(u) && u != src) continue;
-    const std::uint64_t ready_u = u == src ? 0 : t + csr.validation_q(u);
-    const std::uint32_t row_end = offsets[u + 1];
-    for (std::uint32_t e = offsets[u]; e < row_end; ++e) {
-      const std::uint32_t v = peers[e];
-      const std::uint64_t cand = ready_u + delays[e];
-      if (cand < arrival[v]) {
-        arrival[v] = cand;
-        heap_push(heap, {cand, v});
-      }
-    }
-  }
-  PERIGEE_COUNTER_ADD("engine.parallel.heap_sources", 1);
-}
-
-unsigned team_size(runner::ThreadPool* pool, std::size_t n) {
-  const unsigned workers = pool != nullptr ? pool->size() : 1;
-  const std::size_t cap = n > 0 ? n : 1;
-  return static_cast<unsigned>(
-      std::min<std::size_t>(workers > 0 ? workers : 1, cap));
-}
-
-}  // namespace
-
-void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
-                                 ParallelScratch& scratch, double* arrival,
-                                 double* ready, runner::ThreadPool* pool) {
+void relax_source(const net::CsrTopology& csr, const RelaxPlan& plan,
+                  net::NodeId src, MultiSourceScratch& scratch,
+                  std::size_t first_lane, unsigned members, double* arrival,
+                  double* ready, runner::ThreadPool* pool) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
-  PERIGEE_TRACE_SPAN_ARGS(parallel_span, "broadcast_parallel",
-                          obs::TraceArgs().arg("nodes", n).json());
-  const ParallelPlan plan = make_parallel_plan(csr);
-  const unsigned members = plan.use_buckets ? team_size(pool, n) : 1;
-  scratch.ensure_lanes(members);
+  PERIGEE_ASSERT(members >= 1 && first_lane + members <= scratch.lanes());
   if (plan.use_buckets) {
-    DoubleWorld world{&csr,          plan.scale,      plan.shift,
-                      n,             csr.offsets(),   csr.row_ends(),
-                      csr.peer_data(), csr.delay_data()};
-    delta_step_team(world, src, scratch, members, plan.ring_cap, arrival,
+    delta_step_team(csr, plan, src, scratch, first_lane, members, arrival,
                     pool);
-    PERIGEE_COUNTER_ADD("engine.parallel.sources", 1);
-    PERIGEE_HISTOGRAM_OBSERVE("engine.parallel.workers", members);
+    PERIGEE_COUNTER_ADD("engine.bucket.sources", 1);
   } else {
-    solve_heap(csr, src, scratch.lane(0).heap, arrival);
+    solve_heap(csr, src, scratch.lane(first_lane).heap, arrival);
   }
   if (ready != nullptr) {
-    // Same one-pass fill as the batched engine: the last value the
-    // reference engines store per node is exactly final-arrival + Δv.
+    // One pass after the relaxation: the last value the reference engines
+    // store per node is exactly final-arrival + Δv, and +inf + Δv == +inf
+    // keeps unreached nodes exact.
     for (std::size_t v = 0; v < n; ++v) {
       ready[v] = arrival[v] + csr.validation_ms(static_cast<net::NodeId>(v));
     }
     ready[src] = 0.0;  // the miner does not validate its own block
   }
-  PERIGEE_GAUGE_MAX("mem.parallel_scratch_bytes", scratch.memory_bytes());
 }
 
 void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
-                                 ParallelScratch& scratch,
+                                 MultiSourceScratch& scratch, double* arrival,
+                                 double* ready, runner::ThreadPool* pool) {
+  const std::size_t n = csr.size();
+  PERIGEE_TRACE_SPAN_ARGS(parallel_span, "broadcast_parallel",
+                          obs::TraceArgs().arg("nodes", n).json());
+  const RelaxPlan plan = make_relax_plan(csr);
+  // One member per pool worker, never more than there are nodes to own;
+  // the heap fallback is sequential and needs one lane.
+  const unsigned workers = pool != nullptr ? std::max(pool->size(), 1u) : 1;
+  const unsigned members =
+      plan.use_buckets
+          ? static_cast<unsigned>(std::min<std::size_t>(workers, n))
+          : 1;
+  scratch.ensure_lanes(members);
+  relax_source(csr, plan, src, scratch, 0, members, arrival, ready, pool);
+  PERIGEE_HISTOGRAM_OBSERVE("engine.team.workers", members);
+  PERIGEE_GAUGE_MAX("mem.batch_scratch_bytes", scratch.memory_bytes());
+}
+
+void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
+                                 MultiSourceScratch& scratch,
                                  BroadcastResult& out,
                                  runner::ThreadPool* pool) {
   out.miner = src;
@@ -509,41 +381,6 @@ void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
   out.ready.resize(csr.size());
   simulate_broadcast_parallel(csr, src, scratch, out.arrival.data(),
                               out.ready.data(), pool);
-}
-
-void simulate_broadcast_compact(const net::CompactCsr& csr, net::NodeId src,
-                                ParallelScratch& scratch,
-                                std::uint64_t* arrival_q,
-                                runner::ThreadPool* pool) {
-  const std::size_t n = csr.size();
-  PERIGEE_ASSERT(src < n);
-  const std::uint32_t min_q = csr.min_delay_q();
-  const std::optional<int> shift =
-      csr.num_links() > 0 ? util::bucket_width_shift(min_q) : std::nullopt;
-  std::uint64_t ring_cap = 0;
-  if (shift.has_value()) {
-    // Key sums are exact u64 arithmetic; the only sizing concern is the
-    // ring window of one relaxation's reach.
-    const std::uint64_t reach =
-        (static_cast<std::uint64_t>(csr.max_delay_q()) +
-         csr.max_validation_q()) >>
-        *shift;
-    ring_cap = std::bit_ceil(std::max<std::uint64_t>(reach + 4, 64));
-  }
-  const bool use_buckets =
-      shift.has_value() && ring_cap <= kMaxRingBuckets;
-  const unsigned members = use_buckets ? team_size(pool, n) : 1;
-  scratch.ensure_lanes(members);
-  if (use_buckets) {
-    CompactWorld world{&csr, *shift,          n,
-                       csr.offsets(), csr.peer_data(), csr.delay_data()};
-    delta_step_team(world, src, scratch, members, ring_cap, arrival_q, pool);
-    PERIGEE_COUNTER_ADD("engine.compact.sources", 1);
-    PERIGEE_HISTOGRAM_OBSERVE("engine.parallel.workers", members);
-  } else {
-    solve_heap_compact(csr, src, scratch.lane(0).heap_q, arrival_q);
-  }
-  PERIGEE_GAUGE_MAX("mem.parallel_scratch_bytes", scratch.memory_bytes());
 }
 
 }  // namespace perigee::sim

@@ -1,11 +1,12 @@
 /// \file
-/// \brief Bucket-synchronous parallel delta-stepping broadcast engine.
+/// \brief The settle-once bucket relaxation kernel behind every delay-only
+/// broadcast.
 ///
-/// The batched engine (sim/batch.hpp) parallelizes *across* sources; one
-/// n >= 10^5 single-source broadcast still runs on one core. This engine
-/// parallelizes *within* one source while keeping the repo's byte-parity
-/// contract, by restructuring the relaxation around exact fixed-point
-/// bucketing (util/fixedpoint.hpp):
+/// The batched engine (sim/batch.hpp) runs this kernel once per source with
+/// a team of one on its worker's lane; `simulate_broadcast_parallel` runs it
+/// with a team the size of the pool, so one large single-source broadcast
+/// spreads over several cores. Both keep the repo's byte-parity contract by
+/// bucketing on an exact fixed-point grid (util/fixedpoint.hpp):
 ///
 ///  - keys are bucketed by the exact integer index
 ///    `quantize(key) >> width_shift`, with the power-of-two bucket width
@@ -16,49 +17,38 @@
 ///    candidate's true sum is >= that representable boundary, and rounding
 ///    to nearest is monotone). Hence a node's tentative distance is final
 ///    when its bucket starts draining, and each node relaxes exactly once
-///    (settled-once delta stepping: a settled bitmap replaces the stale-key
+///    (settle-once delta stepping: a settled flag replaces the stale-key
 ///    compare);
-///  - settled-once makes the relax order *within* a bucket irrelevant to
+///  - settle-once makes the relax order *within* a bucket irrelevant to
 ///    the outputs: every arrival is the unique fixed point of the Bellman
-///    recurrence computed through identical double additions (the PR 1
-///    argument), so the engine is free to drain one bucket from several
-///    workers at once;
-///  - nodes are owner-partitioned into contiguous per-worker ranges. In the
-///    relax phase each worker drains its own slice of the current bucket,
+///    recurrence computed through identical double additions, so a bucket
+///    can be drained in any order, and by several workers at once;
+///  - nodes are owner-partitioned into contiguous per-member ranges. In the
+///    relax phase each member drains its own slice of the current bucket,
 ///    applies candidates for nodes it owns directly, and buffers candidates
-///    for remote nodes per target worker — workers never read or write
-///    another worker's arrival entries. A barrier later, the merge phase
-///    applies each owner's inbox in fixed worker order and the next
+///    for remote nodes per target member — members never read or write
+///    another member's arrival entries. A barrier later, the merge phase
+///    applies each owner's inbox in fixed member order and the next
 ///    non-empty bucket is agreed on (two barrier crossings per non-empty
-///    bucket, see runner::run_team). The merge order is deterministic but —
-///    by settled-once — any order would produce the same bytes, which is
-///    why the result is byte-identical to the sequential oracle at *any*
-///    worker count. tests/sim_engine_diff_test.cpp pins that across jobs in
-///    {1, 2, 4}.
+///    bucket, see runner::run_team). A team of one owns every node, never
+///    buffers and never waits on a barrier. The result is byte-identical to
+///    the sequential oracle at *any* team size;
+///    tests/sim_engine_diff_test.cpp pins that at 1, 2 and 4 members.
 ///
-/// Graphs the exact bucketing cannot serve (a zero/degenerate minimum
-/// delay, a key range the guards reject) fall back to the sequential heap
-/// relaxation — byte-identical to the batched engine's own fallback — so
-/// the engine is total over every regime the tests throw at it.
-///
-/// The same templated core instantiates over `net::CompactCsr` with u64
-/// fixed-point arrivals (`simulate_broadcast_compact`): there the bucket
-/// math is pure integer arithmetic and the invariants above hold trivially.
-/// Compact arrivals are *not* byte-comparable to the double engines
-/// (floor-quantized inputs); their oracle is the compact engine itself at
-/// worker count 1, plus the error bound in tests/sim_fixedpoint_test.cpp.
+/// Graphs the exact grid cannot serve (no edges, a zero or non-finite
+/// minimum delay, a key span beyond 2^52 grid units or the 2^20-bucket
+/// ring) take the one sequential 4-ary heap relaxation instead, so the
+/// kernel is total over every regime the tests throw at it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "net/csr.hpp"
 #include "net/types.hpp"
+#include "sim/batch.hpp"
 #include "sim/broadcast.hpp"
 
 namespace perigee::runner {
@@ -67,12 +57,12 @@ class ThreadPool;
 
 namespace perigee::sim {
 
-/// Relaxation backend for the round loop's Fast engine: the sequential
-/// batched bucket-queue engine (parallel across sources, the parity
-/// oracle) or this file's parallel delta-stepping engine (parallel within
-/// each source). Outputs are byte-identical either way; the knob is a
-/// wall-clock A/B switch plumbed through `core::ExperimentConfig`,
-/// `RoundRunner` and `perigee_sweep --engine`.
+/// Worker layout for the round loop's Fast engine: the batched engine
+/// (the round's sources fan out across the pool, a team of one each) or a
+/// team the size of the pool inside every source. Outputs are
+/// byte-identical either way; the knob is a wall-clock A/B switch plumbed
+/// through `core::ExperimentConfig`, `RoundRunner` and
+/// `perigee_sweep --engine`.
 enum class RelaxEngine {
   Batched,
   ParallelDelta,
@@ -83,60 +73,43 @@ const char* relax_engine_name(RelaxEngine engine);
 /// Inverse of `relax_engine_name`; nullopt for unknown spellings.
 std::optional<RelaxEngine> relax_engine_from_name(std::string_view name);
 
-/// Sentinel for unreached nodes in compact (u64 fixed-point) arrival
-/// arrays — the integer analogue of util::kInf.
-inline constexpr std::uint64_t kUnreachedQ =
-    std::numeric_limits<std::uint64_t>::max();
-
-/// Reusable per-worker scratch for the parallel engine: bucket rings,
-/// remote-candidate outboxes, settled bitmap, heap-fallback storage. Grown
-/// on demand and reused across broadcasts (steady state allocates
-/// nothing). Not thread-safe to share across concurrent broadcasts; within
-/// one broadcast each worker owns one lane.
-class ParallelScratch {
- public:
-  ParallelScratch();
-  ~ParallelScratch();
-  ParallelScratch(ParallelScratch&&) noexcept;
-  ParallelScratch& operator=(ParallelScratch&&) noexcept;
-
-  struct Lane;
-  Lane& lane(std::size_t i);
-  std::size_t lanes() const;
-  /// Grows the pool to at least `count` lanes.
-  void ensure_lanes(std::size_t count);
-
-  /// Heap bytes across all lanes; reported through the
-  /// `mem.parallel_scratch_bytes` obs gauge after each broadcast.
-  std::size_t memory_bytes() const;
-
- private:
-  std::vector<std::unique_ptr<Lane>> lanes_;
+/// Exact-grid bucketing plan of one snapshot, derived once per batch from
+/// its cached delay bounds: the power-of-two grid `scale`, the bucket width
+/// `2^shift` grid units and the ring size one relaxation's reach needs.
+/// `use_buckets` is false when no grid works; the kernel then runs the heap.
+struct RelaxPlan {
+  bool use_buckets = false;
+  double scale = 1.0;
+  int shift = 0;
+  std::uint64_t ring_cap = 64;
 };
 
-/// Single-source broadcast over the double-delay snapshot, byte-identical
-/// to `simulate_broadcast` / `simulate_broadcast_batch` at any worker
-/// count. `arrival`/`ready` are caller-provided stripes of `csr.size()`
-/// doubles; `ready` may be null to skip the ready fill. With a null pool
-/// (or one worker) the engine runs inline on the calling thread.
+/// The plan for `csr` (see the file comment for when it is rejected).
+RelaxPlan make_relax_plan(const net::CsrTopology& csr);
+
+/// One source's relaxation into caller-provided stripes of `csr.size()`
+/// doubles, run by a team of `members` workers on the scratch lanes
+/// `first_lane .. first_lane + members - 1` (ensured by the caller).
+/// `members > 1` needs `pool` with at least that many workers. `ready` may
+/// be null to skip the ready fill. Byte-identical to `simulate_broadcast`
+/// at any team size.
+void relax_source(const net::CsrTopology& csr, const RelaxPlan& plan,
+                  net::NodeId src, MultiSourceScratch& scratch,
+                  std::size_t first_lane, unsigned members, double* arrival,
+                  double* ready, runner::ThreadPool* pool);
+
+/// Single-source broadcast with a team the size of `pool` (inline with a
+/// null pool). `arrival`/`ready` are caller-provided stripes of
+/// `csr.size()` doubles; `ready` may be null to skip the ready fill.
 void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
-                                 ParallelScratch& scratch, double* arrival,
+                                 MultiSourceScratch& scratch, double* arrival,
                                  double* ready,
                                  runner::ThreadPool* pool = nullptr);
 
 /// Convenience form filling a `BroadcastResult` (tests, block hooks).
 void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
-                                 ParallelScratch& scratch,
+                                 MultiSourceScratch& scratch,
                                  BroadcastResult& out,
                                  runner::ThreadPool* pool = nullptr);
-
-/// Single-source broadcast over the compact fixed-point snapshot.
-/// `arrival_q` receives `csr.size()` quantized arrival keys (`kUnreachedQ`
-/// for unreached nodes); dequantize through `csr.scale()`. Invariant in
-/// the worker count (exact integer arithmetic end to end).
-void simulate_broadcast_compact(const net::CompactCsr& csr, net::NodeId src,
-                                ParallelScratch& scratch,
-                                std::uint64_t* arrival_q,
-                                runner::ThreadPool* pool = nullptr);
 
 }  // namespace perigee::sim

@@ -67,13 +67,13 @@ void RoundRunner::run_round() {
                                       egress_scratch_, batch_result_, pool_);
     } else if (relax_engine_ == RelaxEngine::ParallelDelta) {
       // Same stripe layout as the batched engine, but each source runs
-      // through the delta-stepping team (workers cooperate *within* a
+      // with a team the size of the pool (workers cooperate *within* a
       // block instead of fanning out across blocks — the winning shape
       // when n is large and K small). Stripe bytes are identical either
       // way, so everything downstream is too.
       batch_result_.prepare(csr.size(), miners_);
       for (std::size_t b = 0; b < miners_.size(); ++b) {
-        simulate_broadcast_parallel(csr, miners_[b], parallel_scratch_,
+        simulate_broadcast_parallel(csr, miners_[b], batch_scratch_,
                                     batch_result_.arrival_data(b),
                                     batch_result_.ready_data(b),
                                     pool_);

@@ -86,12 +86,13 @@ class RoundRunner {
   /// count, so this only changes wall-clock.
   void set_thread_pool(runner::ThreadPool* pool) { pool_ = pool; }
 
-  /// Selects the relaxation backend for the Fast engine's block batch:
-  /// the sequential batched bucket-queue engine (default, parallel across
-  /// the round's K sources) or the parallel delta-stepping engine
-  /// (parallel within each source — the scale path for large n with small
-  /// K). Outputs are byte-identical either way (the engine-diff suite pins
-  /// it), so like `set_thread_pool` this only changes wall-clock.
+  /// Selects how the Fast engine's block batch uses the pool: the batched
+  /// engine (default; the round's K sources fan out across workers, a team
+  /// of one each) or one team the size of the pool inside every source
+  /// (the scale path for large n with small K). Both run the same
+  /// settle-once kernel and the outputs are byte-identical (the engine-diff
+  /// suite pins it), so like `set_thread_pool` this only changes
+  /// wall-clock.
   void set_relax_engine(RelaxEngine engine) { relax_engine_ = engine; }
   RelaxEngine relax_engine() const { return relax_engine_; }
 
@@ -99,8 +100,8 @@ class RoundRunner {
   /// egress engine (sim/egress.hpp) with this configuration. Unlike the
   /// wall-clock-only engine knobs above, this is a *result* axis: arrival
   /// times gain serialization + queue wait. Takes precedence over
-  /// `set_relax_engine` (the delta-stepping backend models propagation
-  /// only). Pass nullopt to restore delay-only broadcasts.
+  /// `set_relax_engine` (the relaxation kernel models propagation only).
+  /// Pass nullopt to restore delay-only broadcasts.
   void set_transmission(std::optional<EgressConfig> config) {
     egress_config_ = std::move(config);
   }
@@ -154,10 +155,9 @@ class RoundRunner {
   ObservationTable obs_;
   net::CsrCache csr_cache_;         // one compile per round (or fewer)
   std::vector<net::NodeId> miners_; // the round's pre-sampled miner batch
-  MultiSourceScratch batch_scratch_;  // engine arena, reused across rounds
+  MultiSourceScratch batch_scratch_;  // kernel lanes, reused across rounds
   MultiSourceResult batch_result_;    // SoA stripes, reused across rounds
   RelaxEngine relax_engine_ = RelaxEngine::Batched;
-  ParallelScratch parallel_scratch_;  // delta-stepping lanes, lazily grown
   std::optional<EgressConfig> egress_config_;  // queued-transmission regime
   EgressPlanCache egress_plans_;      // per-node rates, profile-versioned
   EgressScratch egress_scratch_;      // event-heap lanes, reused across rounds

@@ -1,11 +1,12 @@
 /// \file
-/// \brief Power-of-two fixed-point quantization of delay keys.
+/// \brief Power-of-two fixed-point grid for the relaxation kernel's bucket
+/// index.
 ///
-/// The delta-stepping engines place Dijkstra keys into uniform-width buckets.
-/// Doing that with a double multiply (`key * inv_width`) rounds: an equal key
-/// can land one bucket low, which the sequential `BucketQueue` papers over
-/// with a clamp. Quantizing keys onto a fixed-point grid whose scale is a
-/// power of two removes the problem at the root:
+/// The settle-once kernel (sim/parallel.hpp) places Dijkstra keys into
+/// uniform-width buckets. Doing that with a double multiply
+/// (`key * inv_width`) rounds: an equal key can land one bucket low.
+/// Quantizing keys onto a fixed-point grid whose scale is a power of two
+/// removes the problem at the root:
 ///
 ///  - `q(x) = floor(x * 2^e)` is computed *exactly* for any double in range —
 ///    multiplying by a power of two only shifts the exponent, so the cast
@@ -18,16 +19,14 @@
 ///    (width <= min-delay / 2) can be checked as an integer inequality
 ///    instead of a floating-point one.
 ///
-/// Quantization error is one-sided and bounded: `0 <= x - dequantize(q(x)) <
-/// step()` with `step() == 2^-e`. `tests/sim_fixedpoint_test.cpp` holds all
-/// three properties (order preservation, error bound, exact width ceiling)
-/// over random delay distributions.
+/// `tests/sim_fixedpoint_test.cpp` holds these properties (exact floor,
+/// order preservation, fitted bit width, exact width ceiling) over random
+/// delay distributions.
 #pragma once
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <optional>
 
 namespace perigee::util {
@@ -42,13 +41,6 @@ struct FixedPointScale {
   std::uint64_t quantize(double x) const {
     return static_cast<std::uint64_t>(x * scale);
   }
-  /// Lower edge of `q`'s grid cell; `dequantize(quantize(x)) <= x`.
-  double dequantize(std::uint64_t q) const {
-    return static_cast<double>(q) / scale;
-  }
-  /// Grid resolution 2^-exponent: the (exclusive) bound on one value's
-  /// quantization error.
-  double step() const { return 1.0 / scale; }
 
   /// The grid that quantizes `max_value` to `target_bits` bits with maximal
   /// resolution: `q(max_value)` lands in [2^(target_bits-1), 2^target_bits).

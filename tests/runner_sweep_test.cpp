@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "runner/json.hpp"
 
@@ -107,6 +110,25 @@ TEST(SweepRunner, ProgressReachesTotal) {
   });
   EXPECT_EQ(calls.load(), 3u);  // 1 cell x 3 seeds
   EXPECT_EQ(last.load(), 3u);
+}
+
+TEST(SweepRunner, RejectsCoverageOutsideUnitIntervalBeforeAnyJob) {
+  for (const double coverage : {2.0, 0.0, -0.5, std::nan("")}) {
+    SweepSpec spec = small_spec();
+    spec.base.coverage = coverage;
+    EXPECT_THROW(expand_grid(spec), std::invalid_argument) << coverage;
+    std::atomic<std::size_t> calls{0};
+    EXPECT_THROW(SweepRunner(2).run(spec,
+                                    [&](std::size_t, std::size_t) {
+                                      calls.fetch_add(1);
+                                    }),
+                 std::invalid_argument)
+        << coverage;
+    EXPECT_EQ(calls.load(), 0u) << coverage;
+  }
+  SweepSpec spec = small_spec();
+  spec.base.coverage = 1.0;
+  EXPECT_EQ(expand_grid(spec).size(), 3u);
 }
 
 TEST(SweepJson, RoundTripsThroughParser) {

@@ -9,7 +9,6 @@
 
 #include "net/csr.hpp"
 #include "sim/batch.hpp"
-#include "sim/parallel.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 
@@ -18,14 +17,10 @@ namespace {
 
 constexpr std::size_t kLine = 64;
 
-// The compile-time halves of the guard (duplicated from the engine TU so a
-// header regression fails this test even if the TU asserts were dropped;
-// ParallelScratch::Lane is TU-private, its static_assert lives in
-// parallel.cpp and its runtime alignment is checked below).
+// The compile-time half of the guard (duplicated from the engine TU so a
+// header regression fails this test even if the TU assert were dropped).
 static_assert(alignof(sim::MultiSourceScratch::Lane) >= kLine,
               "MultiSourceScratch lanes must be cache-line aligned");
-static_assert(sizeof(sim::BucketQueue::Entry) == 16,
-              "bucket entries are packed to two per load pair");
 
 TEST(BatchLayout, StripeStrideIsCacheLinePadded) {
   // Stride rounds nodes up to a whole line of doubles and never down.
@@ -82,12 +77,6 @@ TEST(BatchLayout, ScratchLanesStartOnTheirOwnCacheLine) {
   for (std::size_t i = 0; i < scratch.lanes(); ++i) {
     const auto addr = reinterpret_cast<std::uintptr_t>(&scratch.lane(i));
     EXPECT_EQ(addr % kLine, 0u) << "lane " << i;
-  }
-  sim::ParallelScratch pscratch;
-  pscratch.ensure_lanes(4);
-  for (std::size_t i = 0; i < pscratch.lanes(); ++i) {
-    const auto addr = reinterpret_cast<std::uintptr_t>(&pscratch.lane(i));
-    EXPECT_EQ(addr % kLine, 0u) << "parallel lane " << i;
   }
 }
 

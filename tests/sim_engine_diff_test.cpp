@@ -1,4 +1,4 @@
-// Randomized differential harness over the three broadcast engines.
+// Randomized differential harness over the broadcast engines.
 //
 // ~200 seeded random topologies spanning every scenario regime the sweep
 // axes can produce — uniform (geo) and exponential-ish (euclidean) latency
@@ -7,17 +7,17 @@
 // overlays, disconnected fragments — each asserting that
 //
 //      legacy Topology walk  ≡  single-source CSR  ≡  batched engine
-//                            ≡  parallel delta-stepping engine
+//                            ≡  worker-team broadcast
 //
 // byte-for-byte on the arrival AND ready vectors (memcmp of the doubles, so
 // even a one-ulp divergence or a -0.0 fails). The legacy engine is the
-// oracle; the batched engine additionally runs both its bucket-queue fast
-// path and (where the graph forces it) the heap fallback, and once more
-// through a ThreadPool to pin the any-worker-count determinism contract.
-// The parallel delta-stepping engine runs at worker counts 1, 2, and 4 in
-// every regime (including the zero-δ heap-fallback, disconnected, and
-// churn-patched shapes), and the compact fixed-point engine is held to its
-// own oracle: exact u64 arrival equality across the same worker counts.
+// oracle. The batched engine runs the settle-once bucket kernel with a
+// team of one per source (or, where the graph's plan is rejected, its heap
+// fallback), inline and once more through a ThreadPool to pin the
+// any-worker-count determinism contract; the same kernel runs as one team
+// of 1, 2 and 4 workers inside each source in every regime (including the
+// rejected-plan, disconnected and churn-patched shapes, plus graphs built
+// from tied and 1-ulp-apart path sums).
 // The egress queuing engine (sim/egress.hpp) joins at infinite rate and
 // zero message size, where docs/TRANSMISSION_MODEL.md claims it IS the
 // delay-only model: single-source and batched (inline + pooled), both held
@@ -30,6 +30,7 @@
 // a full round-loop A/B against forced recompiles.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -68,9 +69,8 @@ namespace {
 }
 
 // One differential case: all engines from a spread of miners, batched
-// engine both inline and across a 3-worker pool, the parallel
-// delta-stepping engine at worker counts 1/2/4, and the compact
-// fixed-point engine held jobs-invariant on exact u64 keys.
+// engine both inline and across a 3-worker pool, and the kernel as one
+// team of 1/2/4 workers per source.
 void expect_three_engine_parity(const net::Topology& topology,
                                 const net::Network& network,
                                 const char* regime, std::uint64_t seed) {
@@ -98,10 +98,8 @@ void expect_three_engine_parity(const net::Topology& topology,
     sim::simulate_broadcast_batch(csr, miners, scratch, pooled, &pool);
   }
 
-  const net::CompactCsr compact = net::CompactCsr::build(csr);
-  sim::ParallelScratch parallel_scratch;
+  sim::MultiSourceScratch team_scratch;
   sim::BroadcastResult par1, par2, par4;
-  std::vector<std::uint64_t> q1(n), q2(n), q4(n);
 
   // Egress queuing engine in its delay-only corner: unlimited rate + zero
   // message size. The documented contract (docs/TRANSMISSION_MODEL.md) is
@@ -150,12 +148,12 @@ void expect_three_engine_parity(const net::Topology& topology,
     EXPECT_TRUE(bytes_equal(egress_pooled.arrival_of(s), legacy.arrival));
     EXPECT_TRUE(bytes_equal(egress_pooled.ready_of(s), legacy.ready));
 
-    // Parallel delta-stepping: byte-identical to the legacy oracle at any
-    // worker count (1 = inline, 2 and 4 = barrier teams).
-    sim::simulate_broadcast_parallel(csr, miners[s], parallel_scratch, par1);
-    sim::simulate_broadcast_parallel(csr, miners[s], parallel_scratch, par2,
+    // Worker team inside one source: byte-identical to the legacy oracle
+    // at any team size (1 = inline, 2 and 4 = barrier teams).
+    sim::simulate_broadcast_parallel(csr, miners[s], team_scratch, par1);
+    sim::simulate_broadcast_parallel(csr, miners[s], team_scratch, par2,
                                      &pool2);
-    sim::simulate_broadcast_parallel(csr, miners[s], parallel_scratch, par4,
+    sim::simulate_broadcast_parallel(csr, miners[s], team_scratch, par4,
                                      &pool4);
     EXPECT_TRUE(bytes_equal(par1.arrival, legacy.arrival));
     EXPECT_TRUE(bytes_equal(par1.ready, legacy.ready));
@@ -163,22 +161,6 @@ void expect_three_engine_parity(const net::Topology& topology,
     EXPECT_TRUE(bytes_equal(par2.ready, legacy.ready));
     EXPECT_TRUE(bytes_equal(par4.arrival, legacy.arrival));
     EXPECT_TRUE(bytes_equal(par4.ready, legacy.ready));
-
-    // Compact fixed-point world: its own oracle is itself at one worker —
-    // exact u64 equality across worker counts (integer math end to end).
-    sim::simulate_broadcast_compact(compact, miners[s], parallel_scratch,
-                                    q1.data());
-    sim::simulate_broadcast_compact(compact, miners[s], parallel_scratch,
-                                    q2.data(), &pool2);
-    sim::simulate_broadcast_compact(compact, miners[s], parallel_scratch,
-                                    q4.data(), &pool4);
-    EXPECT_EQ(q1, q2);
-    EXPECT_EQ(q1, q4);
-    // And it must agree with the double world on reachability exactly.
-    for (net::NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(q1[v] == sim::kUnreachedQ, !std::isfinite(legacy.arrival[v]))
-          << "node " << v;
-    }
   }
 }
 
@@ -449,16 +431,6 @@ TEST(EngineDiff, EdgeCases) {
   options.seed = 5;
   const auto network = net::Network::build(options);
 
-  // Zero-latency infra edge: min edge delay 0 forces the heap fallback.
-  {
-    auto topology = random_topology(60, 5);
-    // First pair not already wired by the random build.
-    net::NodeId other = 1;
-    while (!topology.add_infra_edge(0, other, 0.0)) ++other;
-    const auto csr = net::CsrTopology::build(topology, network);
-    EXPECT_EQ(csr.min_delay_ms(), 0.0);
-    expect_three_engine_parity(topology, network, "zero-infra", 5);
-  }
   // Sub-propagation infra overlay (the relay-tree shape). Some spokes may
   // already be p2p-adjacent to the hub; enough must attach to matter.
   {
@@ -476,10 +448,87 @@ TEST(EngineDiff, EdgeCases) {
     for (net::NodeId v = 52; v < 60; ++v) topology.disconnect_all(v);
     expect_three_engine_parity(topology, network, "disconnected", 5);
   }
-  // Edgeless graph: every engine degenerates to "miner only".
+}
+
+// Graphs whose exact-grid plan the kernel rejects: every engine must take
+// the heap fallback and still match the legacy walker byte for byte.
+TEST(EngineDiff, RejectedPlansReachTheHeapFallback) {
+  net::NetworkOptions options;
+  options.n = 60;
+  options.seed = 5;
+  const auto network = net::Network::build(options);
+  const auto expect_heap_parity = [&](const net::Topology& topology,
+                                      const char* regime) {
+    const auto csr = net::CsrTopology::build(topology, network);
+    EXPECT_FALSE(sim::make_relax_plan(csr).use_buckets) << regime;
+    expect_three_engine_parity(topology, network, regime, 5);
+  };
+  // Adds one infra link of `delay_ms` from node 0 to the first node it is
+  // not already adjacent to.
+  const auto with_infra_link = [](double delay_ms) {
+    auto topology = random_topology(60, 5);
+    net::NodeId other = 1;
+    while (!topology.add_infra_edge(0, other, delay_ms)) ++other;
+    return topology;
+  };
+
+  // Zero-latency infra edge: a min delay of 0 admits no bucket width.
   {
-    net::Topology topology(60);
-    expect_three_engine_parity(topology, network, "edgeless", 5);
+    const auto topology = with_infra_link(0.0);
+    EXPECT_EQ(net::CsrTopology::build(topology, network).min_delay_ms(), 0.0);
+    expect_heap_parity(topology, "zero-infra");
+  }
+  // Edgeless graph: every engine degenerates to "miner only".
+  expect_heap_parity(net::Topology(60), "edgeless");
+  // Key span beyond the 2^52 grid: a 1e-13 ms link next to ~100 ms edges.
+  // A grid holding the largest key (~61 hops of max reach) below 2^52
+  // units resolves 1e-13 ms to 0 units, so no bucket width fits.
+  expect_heap_parity(with_infra_link(1e-13), "grid-overflow");
+  // Key span beyond the 2^20-bucket ring: a 1e-5 ms link fits the grid, but
+  // buckets of at most 5e-6 ms need > 2^20 of them to span one ~100 ms
+  // relaxation.
+  expect_heap_parity(with_infra_link(1e-5), "ring-overflow");
+}
+
+// Path sums that tie exactly or differ by one ulp, many of them on bucket
+// boundaries: infra-only graphs whose delays are binary fractions and
+// their 1-ulp neighbours. With Δv = 0 the sums stay exact, so distinct
+// paths tie; with the default Δv draw they interleave with random keys.
+// The kernel must settle every node at the legacy walker's exact bytes.
+TEST(EngineDiff, TiedAndOneUlpApartPathSums) {
+  const std::array<double, 8> delays = {
+      0.25, 0.5, 0.75, 1.0,
+      std::nextafter(0.5, 0.0), std::nextafter(0.5, 1.0),
+      std::nextafter(1.0, 0.0), std::nextafter(1.0, 2.0)};
+  for (const double validation_scale : {0.0, 1.0}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      net::NetworkOptions options;
+      options.n = 48;
+      options.seed = seed;
+      options.validation_scale = validation_scale;
+      const auto network = net::Network::build(options);
+      const auto n = static_cast<net::NodeId>(options.n);
+      net::Topology topology(options.n);
+      util::Rng rng(seed);
+      const auto pick = [&] {
+        return delays[rng.uniform_index(delays.size())];
+      };
+      // A ring keeps every node reachable; chords add competing paths.
+      for (net::NodeId v = 0; v < n; ++v) {
+        topology.add_infra_edge(v, (v + 1) % n, pick());
+      }
+      for (int k = 0; k < 3 * static_cast<int>(n); ++k) {
+        const auto u = static_cast<net::NodeId>(rng.uniform_index(n));
+        const auto v = static_cast<net::NodeId>(rng.uniform_index(n));
+        if (u != v) topology.add_infra_edge(u, v, pick());
+      }
+      const auto csr = net::CsrTopology::build(topology, network);
+      EXPECT_TRUE(sim::make_relax_plan(csr).use_buckets);
+      expect_three_engine_parity(topology, network,
+                                 validation_scale == 0.0 ? "ties-exact"
+                                                         : "ties-validated",
+                                 seed);
+    }
   }
 }
 

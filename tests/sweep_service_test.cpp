@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -189,6 +190,53 @@ TEST(SweepService, ResumeAfterInterruptIsByteIdentical) {
   EXPECT_EQ(first_done.load(), 3u);
   EXPECT_EQ(json_bytes(spec, resumed), reference);
   CheckpointStore(dir, "").remove_all();
+}
+
+TEST(SweepService, ResumeRecomputesDamagedCheckpoint) {
+  const SweepSpec spec = service_spec();
+  const SweepRunner runner(4);
+  const std::string reference = json_bytes(spec, runner.run(spec));
+
+  // An interrupted run's first three checkpoints, then damaged: one
+  // truncated to 40 bytes, one rewritten under the right fingerprint with
+  // a malformed λ entry.
+  const std::vector<SlotCurves> slots = runner.run_slots(spec, SweepOptions{});
+  ASSERT_EQ(slots.size(), 6u);
+  const std::string dir = scratch_dir("perigee_service_damaged");
+  const CheckpointStore store(dir, grid_fingerprint(spec));
+  store.prepare();
+  for (std::size_t i = 0; i < slots.size() / 2; ++i) {
+    ASSERT_TRUE(store.save(slots[i]));
+  }
+  const fs::path truncated = fs::path(dir) / "cell0_seed1.json";
+  const fs::path malformed = fs::path(dir) / "cell1_seed0.json";
+  ASSERT_TRUE(fs::exists(truncated));
+  ASSERT_TRUE(fs::exists(malformed));
+  fs::resize_file(truncated, 40);
+  {
+    std::ofstream os(malformed, std::ios::trunc);
+    os << R"({"fingerprint":")" << grid_fingerprint(spec)
+       << R"(","cell":1,"seed":0,"lambda":["oops"],"lambda50":[2]})";
+  }
+
+  SweepOptions options;
+  options.checkpoint_dir = dir;
+  options.resume = true;
+  std::atomic<std::size_t> first_done{~std::size_t{0}};
+  const SweepResult resumed =
+      runner.run(spec, options, [&](std::size_t done, std::size_t) {
+        std::size_t expected = ~std::size_t{0};
+        first_done.compare_exchange_strong(expected, done);
+      });
+  // One slot was loaded; the damaged two were set aside and recomputed
+  // with the rest, then checkpointed again.
+  EXPECT_EQ(first_done.load(), 1u);
+  EXPECT_EQ(json_bytes(spec, resumed), reference);
+  for (const fs::path& damaged : {truncated, malformed}) {
+    EXPECT_TRUE(fs::exists(damaged.string() + ".corrupt")) << damaged;
+    EXPECT_TRUE(fs::exists(damaged)) << damaged;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(SweepService, ResumeRefusesForeignCheckpoints) {
