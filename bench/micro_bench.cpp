@@ -20,7 +20,6 @@
 #include "sim/batch.hpp"
 #include "sim/egress.hpp"
 #include "sim/gossip.hpp"
-#include "sim/parallel.hpp"
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
 #include "util/stats.hpp"
@@ -75,9 +74,10 @@ BENCHMARK(BM_BroadcastCsr)->Arg(200)->Arg(1000)->Arg(4000);
 // prefetch, branchless settle) over a prebuilt CSR — no λ accumulation, no
 // compile, no pool, so iterations price the hot loop and nothing else.
 // Recorded in BENCH_broadcast.json as relax_inner_speedup against the
-// legacy Topology walker (BM_Broadcast) at the same Arg; the before/after
-// Release-mode delta of the micro-pass itself is reported in
-// ARCHITECTURE.md ("Release perf truth").
+// legacy Topology walker (BM_Broadcast) and in BENCH_scale.json as
+// relax_kernel_speedup against the CSR heap (BM_BroadcastCsr) at the same
+// Arg; the before/after Release-mode delta of the micro-pass itself is
+// reported in ARCHITECTURE.md ("Release perf truth").
 void BM_RelaxInnerLoop(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr =
@@ -93,25 +93,6 @@ void BM_RelaxInnerLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RelaxInnerLoop)->Arg(200)->Arg(1000)->Arg(4000);
-
-// The scale-path bench recorded in BENCH_scale.json: the worker-team
-// broadcast pinned to one worker (settle-once bucket relaxation,
-// byte-identical outputs) against BM_BroadcastCsr's heap relaxation above.
-void BM_BroadcastParallelDelta(benchmark::State& state) {
-  Fixture f(static_cast<std::size_t>(state.range(0)));
-  const net::CsrTopology csr =
-      net::CsrTopology::build(f.topology, *f.network);
-  sim::MultiSourceScratch scratch;
-  sim::BroadcastResult result;
-  net::NodeId miner = 0;
-  for (auto _ : state) {
-    sim::simulate_broadcast_parallel(csr, miner, scratch, result);
-    benchmark::DoNotOptimize(result.arrival.data());
-    miner = (miner + 1) % static_cast<net::NodeId>(csr.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BroadcastParallelDelta)->Arg(200)->Arg(1000)->Arg(4000);
 
 // The queuing-engine pair recorded in BENCH_queuing.json. The egress DES
 // (sim/egress.hpp) runs twice: in its ∞-rate parity corner, where it

@@ -1,15 +1,16 @@
 // Scale instrument behind BENCH_scale.json: one n = 10^5 (default) graph,
-// single-source broadcast timed through every engine that claims that scale
-// — the CSR reference heap and the relaxation kernel at worker team sizes
-// 1 and --jobs — plus the snapshot/scratch footprints and the process peak
-// RSS the soak test budgets against.
+// single-source broadcast timed through the two heap oracles (the legacy
+// Topology walker and the CSR heap) and the settle-once relaxation kernel
+// as a one-source simulate_broadcast_batch, plus the snapshot/scratch
+// footprints and the process peak RSS the soak test budgets against.
 //
-// Byte parity is asserted inline (reference vs parallel arrivals memcmp
-// equal) so a timing run can never silently anchor numbers from an engine
-// that stopped agreeing. Timings are medians of --reps alternated runs.
+// Byte parity is asserted inline (every engine's arrivals memcmp equal) so
+// a timing run can never silently anchor numbers from an engine that
+// stopped agreeing. Timings are medians of --reps runs per engine.
 //
-//   ./scale_broadcast --nodes 100000 --jobs 2 --reps 5 --json scale.json
+//   ./scale_broadcast --nodes 100000 --reps 5 --json scale.json
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -20,9 +21,8 @@
 #include "net/topology.hpp"
 #include "obs/meta.hpp"
 #include "runner/json.hpp"
-#include "runner/thread_pool.hpp"
+#include "sim/batch.hpp"
 #include "sim/broadcast.hpp"
-#include "sim/parallel.hpp"
 #include "topo/builders.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
@@ -54,14 +54,18 @@ int run(int argc, char** argv) {
   util::Flags flags;
   flags.add_int("nodes", 100000, "network size");
   flags.add_int("seed", 4242, "network/topology seed");
-  flags.add_int("jobs", 2, "worker team size for the parallel engine");
   flags.add_int("reps", 5, "repetitions per engine (median reported)");
   flags.add_string("json", "", "also write the measurements to this file");
   if (!flags.parse(argc, argv)) return 1;
+  if (!flags.unknown().empty()) {
+    for (const auto& arg : flags.unknown()) {
+      std::cerr << "unknown argument '" << arg << "'\n";
+    }
+    return 1;
+  }
 
   const auto n = static_cast<std::size_t>(flags.get_int("nodes"));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const int jobs = std::max(1, static_cast<int>(flags.get_int("jobs")));
   const int reps = std::max(1, static_cast<int>(flags.get_int("reps")));
 
   net::NetworkOptions options;
@@ -74,45 +78,41 @@ int run(int argc, char** argv) {
   const net::CsrTopology csr = net::CsrTopology::build(topology, network);
   const net::NodeId src = static_cast<net::NodeId>(n / 8);
 
-  sim::BroadcastScratch ref_scratch;
-  sim::BroadcastResult reference;
-  const double reference_ms = time_ms(
-      reps, [&] { sim::simulate_broadcast(csr, src, ref_scratch, reference); });
-
-  sim::MultiSourceScratch scratch;
-  sim::BroadcastResult parallel1;
-  const double parallel1_ms = time_ms(reps, [&] {
-    sim::simulate_broadcast_parallel(csr, src, scratch, parallel1);
+  sim::BroadcastResult walker;
+  const double topology_ms = time_ms(reps, [&] {
+    walker = sim::simulate_broadcast(topology, network, src);
   });
 
-  runner::ThreadPool pool(static_cast<unsigned>(jobs));
-  sim::BroadcastResult parallelN;
-  const double parallelN_ms = time_ms(reps, [&] {
-    sim::simulate_broadcast_parallel(csr, src, scratch, parallelN, &pool);
+  sim::BroadcastScratch heap_scratch;
+  sim::BroadcastResult heap;
+  const double csr_heap_ms = time_ms(
+      reps, [&] { sim::simulate_broadcast(csr, src, heap_scratch, heap); });
+
+  sim::MultiSourceScratch scratch;
+  sim::MultiSourceResult kernel;
+  const std::array<net::NodeId, 1> sources{src};
+  const double kernel_ms = time_ms(reps, [&] {
+    sim::simulate_broadcast_batch(csr, sources, scratch, kernel);
   });
 
   // The determinism contract, enforced on the very run being anchored.
   const std::size_t bytes = n * sizeof(double);
-  if (std::memcmp(reference.arrival.data(), parallel1.arrival.data(), bytes) !=
-          0 ||
-      std::memcmp(reference.arrival.data(), parallelN.arrival.data(), bytes) !=
-          0) {
-    std::cerr << "FATAL: parallel engine lost byte parity with the "
-                 "reference at n="
-              << n << "\n";
+  if (std::memcmp(walker.arrival.data(), heap.arrival.data(), bytes) != 0 ||
+      std::memcmp(walker.arrival.data(), kernel.arrival_of(0).data(),
+                  bytes) != 0) {
+    std::cerr << "FATAL: the engines lost byte parity at n=" << n << "\n";
     return 1;
   }
 
   const std::int64_t peak_kb = obs::peak_rss_kb();
   const obs::RunMeta meta = obs::capture_run_meta();
 
-  std::cout << "n=" << n << " src=" << src << " jobs=" << jobs
-            << " reps=" << reps << "\n"
-            << "  reference heap      " << reference_ms << " ms\n"
-            << "  parallel-delta x1   " << parallel1_ms << " ms\n"
-            << "  parallel-delta x" << jobs << "   " << parallelN_ms << " ms\n"
+  std::cout << "n=" << n << " src=" << src << " reps=" << reps << "\n"
+            << "  topology heap       " << topology_ms << " ms\n"
+            << "  csr heap            " << csr_heap_ms << " ms\n"
+            << "  relaxation kernel   " << kernel_ms << " ms\n"
             << "  csr snapshot        " << csr.memory_bytes() << " bytes\n"
-            << "  parallel scratch    " << scratch.memory_bytes() << " bytes\n"
+            << "  kernel scratch      " << scratch.memory_bytes() << " bytes\n"
             << "  peak RSS            " << peak_kb << " KiB\n";
 
   const std::string& path = flags.get_string("json");
@@ -127,14 +127,13 @@ int run(int argc, char** argv) {
     w.end_object();
     w.field("nodes", static_cast<std::int64_t>(n));
     w.field("seed", static_cast<std::int64_t>(seed));
-    w.field("jobs", static_cast<std::int64_t>(jobs));
     w.field("reps", static_cast<std::int64_t>(reps));
-    w.field("reference_heap_ms", reference_ms);
-    w.field("parallel_delta_x1_ms", parallel1_ms);
-    w.field("parallel_delta_xjobs_ms", parallelN_ms);
+    w.field("topology_heap_ms", topology_ms);
+    w.field("csr_heap_ms", csr_heap_ms);
+    w.field("kernel_ms", kernel_ms);
     w.field("csr_snapshot_bytes",
             static_cast<std::int64_t>(csr.memory_bytes()));
-    w.field("parallel_scratch_bytes",
+    w.field("kernel_scratch_bytes",
             static_cast<std::int64_t>(scratch.memory_bytes()));
     w.field("peak_rss_kb", peak_kb);
     w.end_object();

@@ -15,7 +15,7 @@ across CI runners would be noise. Anchor pairs today:
                                                     BM_MultiSourcePerSourceCsr
   BENCH_incremental_csr.json incremental_csr_speedup BM_CsrChurnRefreshPatch /
                                                     BM_CsrChurnRefreshRebuild
-  BENCH_scale.json           parallel_delta_speedup BM_BroadcastParallelDelta /
+  BENCH_scale.json           relax_kernel_speedup   BM_RelaxInnerLoop /
                                                     BM_BroadcastCsr
   BENCH_queuing.json         egress_unlimited_speedup BM_BroadcastEgressUnlimited /
                                                     BM_BroadcastCsr

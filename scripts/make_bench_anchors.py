@@ -102,17 +102,17 @@ NOTES = {
         "broadcast from O(n) toward O(edges), which is why the congestion "
         "grid is sized at n=200. Measured on a 1-core container."),
     "scale": (
-        "Scale anchor for the relaxation kernel run as one worker team per "
-        "source. parallel_delta_speedup is the one-worker items_per_second "
-        "ratio vs BM_BroadcastCsr (the settled-heap CSR reference) at each "
-        "micro_bench grid size; the soft gate bars on n1000. The `scale` block is one n=10^5 single-source broadcast "
-        "(scale_broadcast --nodes 100000 --jobs 2 --reps 5, median "
-        "wall-clock per engine, byte parity asserted on the measured run); "
-        "parallel_delta_x2 can be SLOWER than x1 on a single core: two "
-        "barrier-synchronized workers timeshare it, which is pure overhead "
-        "— the x1 path (inline, no barriers) is the honest 1-core "
-        "figure and byte-identical to every other team size by "
-        "construction. Measured on a 1-core container."),
+        "Scale anchor for the settle-once relaxation kernel, which runs "
+        "each source single-threaded on one scratch lane. "
+        "relax_kernel_speedup is the BM_RelaxInnerLoop (a one-source "
+        "simulate_broadcast_batch) items_per_second ratio vs BM_BroadcastCsr "
+        "(the settled-heap CSR reference) at each micro_bench grid size; the "
+        "soft gate bars on n1000. The `scale` block is one n=10^5 "
+        "single-source broadcast (scale_broadcast --nodes 100000 --reps 5, "
+        "median wall-clock per engine: the Topology walker, the CSR heap and "
+        "the kernel, byte parity asserted on the measured run). Every "
+        "engine here is single-threaded, so context.num_cpus does not "
+        "enter the figures."),
 }
 
 # The micro_bench subset each anchor records (exact benchmark names).
@@ -153,8 +153,8 @@ MICRO_SLICES = {
     "scale": [
         "BM_Broadcast/200", "BM_Broadcast/1000", "BM_Broadcast/4000",
         "BM_BroadcastCsr/200", "BM_BroadcastCsr/1000", "BM_BroadcastCsr/4000",
-        "BM_BroadcastParallelDelta/200", "BM_BroadcastParallelDelta/1000",
-        "BM_BroadcastParallelDelta/4000",
+        "BM_RelaxInnerLoop/200", "BM_RelaxInnerLoop/1000",
+        "BM_RelaxInnerLoop/4000",
     ],
 }
 
@@ -282,16 +282,14 @@ def sweep_wallclock_block(build_dir, scratch_dir, runs=3):
 def scale_block(build_dir, scratch_dir):
     path = os.path.join(scratch_dir, "scale.json")
     run([os.path.join(build_dir, "scale_broadcast"), "--nodes", "100000",
-         "--jobs", "2", "--reps", "5", "--json", path],
+         "--reps", "5", "--json", path],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     with open(path) as fh:
         data = json.load(fh)
-    jobs = data["jobs"]
-    block = {k: data[k] for k in ("nodes", "seed", "jobs", "reps",
-                                  "reference_heap_ms", "parallel_delta_x1_ms")}
-    block[f"parallel_delta_x{jobs}_ms"] = data["parallel_delta_xjobs_ms"]
-    for k in ("csr_snapshot_bytes", "parallel_scratch_bytes", "peak_rss_kb"):
-        block[k] = data[k]
+    block = {k: data[k] for k in (
+        "nodes", "seed", "reps", "topology_heap_ms", "csr_heap_ms",
+        "kernel_ms", "csr_snapshot_bytes", "kernel_scratch_bytes",
+        "peak_rss_kb")}
     block["peak_rss_budget_kb"] = 1048576  # soak test's 1 GiB ceiling
     return block
 
@@ -405,8 +403,8 @@ def main():
             "note": NOTES["scale"],
             "context": ctx,
             "meta": meta,
-            "parallel_delta_speedup": speedup(
-                entries, "BM_BroadcastParallelDelta", "BM_BroadcastCsr",
+            "relax_kernel_speedup": speedup(
+                entries, "BM_RelaxInnerLoop", "BM_BroadcastCsr",
                 (200, 1000, 4000)),
             "scale": scale,
             "micro_bench": slice_entries(entries, "scale"),

@@ -236,7 +236,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
                              : sim::RoundRunner::Engine::Fast);
     runner.set_thread_pool(engine_pool.get());
     runner.set_csr_patching(config.incremental_csr);
-    runner.set_relax_engine(config.relax_engine);
     runner.set_transmission(eval.egress);
 
     std::unique_ptr<net::AddrMan> addrman;
@@ -442,7 +441,6 @@ IncrementalResult run_incremental(const ExperimentConfig& config,
                           config.seed);
   runner.set_thread_pool(engine_pool.get());
   runner.set_csr_patching(config.incremental_csr);
-  runner.set_relax_engine(config.relax_engine);
   EvalEngine eval(config);
   runner.set_transmission(eval.egress);
   std::unique_ptr<scn::ChurnDriver> churn;

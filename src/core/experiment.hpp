@@ -88,12 +88,11 @@ struct ExperimentConfig {
   // measurement (BENCH_incremental_csr.json) and bisection.
   bool incremental_csr = true;
 
-  // Relaxation backend for the Fast engine's block batches: the batched
-  // bucket-queue engine (default; parallelizes across a round's sources) or
-  // the parallel delta-stepping engine (parallelizes within each source —
-  // the scale shape for large n with few blocks). Outputs are byte-identical
-  // either way (tests/sim_engine_diff_test.cpp pins it), so like
-  // `engine_jobs` this is a wall-clock A/B switch, not a sweep axis.
+  // The Fast engine's relaxation backend. It has one value (`Batched`: the
+  // settle-once kernel per source, sources fanned across `engine_jobs`
+  // workers) and the library never reads it; the field remains only
+  // because the frozen benchmark harness (perfbench/harness.cpp) passes it
+  // to `RoundRunner::set_relax_engine`.
   sim::RelaxEngine relax_engine = sim::RelaxEngine::Batched;
 
   // Master seed: drives network construction, hash power, initial topology,

@@ -86,7 +86,6 @@ std::size_t MultiSourceScratch::memory_bytes() const {
   for (const auto& lane : lanes_) {
     bytes += lane->ring.capacity() * sizeof(lane->ring[0]) +
              lane->occupied.capacity() * sizeof(std::uint64_t) +
-             lane->outbox.capacity() * sizeof(lane->outbox[0]) +
              lane->settled.capacity() +
              lane->heap.capacity() * sizeof(HeapItem) +
              (lane->arrival.capacity() + lane->ready.capacity()) *
@@ -95,9 +94,6 @@ std::size_t MultiSourceScratch::memory_bytes() const {
                  sizeof(std::pair<double, double>);
     for (const auto& slot : lane->ring) {
       bytes += slot.capacity() * sizeof(net::NodeId);
-    }
-    for (const auto& box : lane->outbox) {
-      bytes += box.capacity() * sizeof(Lane::Candidate);
     }
   }
   return bytes;
@@ -118,8 +114,8 @@ void simulate_broadcast_batch(const net::CsrTopology& csr,
   const RelaxPlan plan = make_relax_plan(csr);
   dispatch(sources.size(), scratch, pool,
            [&](std::size_t lane_idx, std::size_t s) {
-             relax_source(csr, plan, sources[s], scratch, lane_idx, 1,
-                          out.arrival_data(s), out.ready_data(s), nullptr);
+             relax_source(csr, plan, sources[s], scratch.lane(lane_idx),
+                          out.arrival_data(s), out.ready_data(s));
            });
   PERIGEE_GAUGE_MAX("mem.batch_scratch_bytes", scratch.memory_bytes());
 }
@@ -140,8 +136,8 @@ void for_each_source_broadcast(const net::CsrTopology& csr,
                lane.ready.resize(n);
                ready = lane.ready.data();
              }
-             relax_source(csr, plan, sources[s], scratch, lane_idx, 1,
-                          lane.arrival.data(), ready, nullptr);
+             relax_source(csr, plan, sources[s], lane, lane.arrival.data(),
+                          ready);
              sink(lane_idx, s, lane.arrival,
                   need_ready ? std::span<const double>(lane.ready)
                              : std::span<const double>());

@@ -12,7 +12,7 @@
 ///    stripe of an arena each (`MultiSourceResult`), so a batch performs two
 ///    allocations total instead of 2·|sources|;
 ///  - each source runs the settle-once bucket kernel of sim/parallel.hpp
-///    with a team of one on its worker's lane; the exact-grid plan is
+///    on its worker's lane, which owns every node; the exact-grid plan is
 ///    derived once per batch, and graphs it rejects (no edges, a zero
 ///    minimum delay, too wide a key span) take the kernel's heap fallback;
 ///  - sources fan out across an optional `runner::ThreadPool`: each worker
@@ -95,8 +95,7 @@ struct MultiSourceResult {
 };
 
 /// Reusable arena of per-worker scratch lanes (bucket ring, settled flags,
-/// team outboxes, heap fallback, one stripe pair for the streaming form, λ
-/// sort buffers).
+/// heap fallback, one stripe pair for the streaming form, λ sort buffers).
 /// Lanes are grown on demand and survive across batches, so a sweep cell
 /// running thousands of rounds performs no steady-state allocation. Not
 /// thread-safe to share across concurrent *batches*; within one batch each
@@ -118,9 +117,8 @@ class MultiSourceScratch {
   void ensure_lanes(std::size_t count);
 
   /// Heap bytes across all lanes; reported through the
-  /// `mem.batch_scratch_bytes` obs gauge after each batch or team broadcast
-  /// (memory-budget accounting for the scale path, next to
-  /// `mem.csr_bytes`).
+  /// `mem.batch_scratch_bytes` obs gauge after each batch (memory-budget
+  /// accounting for the scale path, next to `mem.csr_bytes`).
   std::size_t memory_bytes() const;
 
  private:
@@ -136,25 +134,16 @@ class MultiSourceScratch {
 /// `tests/sim_batch_layout_test.cpp` guards both this and the stripe
 /// padding above against regression.
 struct alignas(64) MultiSourceScratch::Lane {
-  /// A candidate for a node another team member owns, buffered until the
-  /// merge phase.
-  struct Candidate {
-    net::NodeId node;
-    double key;
-  };
-
   /// Bucket ring: a power-of-two window over absolute bucket indices
   /// (slot = index & mask) holding the node ids queued in each bucket.
   std::vector<std::vector<net::NodeId>> ring;
   std::vector<std::uint64_t> occupied;  ///< per-slot non-empty bits
   std::uint64_t mask = 0;               ///< ring capacity - 1
   std::size_t pending = 0;              ///< entries across the ring
-  std::uint64_t next_bucket = 0;        ///< this member's next-bucket vote
-  std::vector<std::vector<Candidate>> outbox;  ///< per target team member
-  std::vector<std::uint8_t> settled;  ///< per owned node
-  std::vector<HeapItem> heap;         ///< heap-fallback storage
-  std::vector<double> arrival;        ///< streaming-form stripe
-  std::vector<double> ready;          ///< streaming-form stripe
+  std::vector<std::uint8_t> settled;    ///< per node
+  std::vector<HeapItem> heap;           ///< heap-fallback storage
+  std::vector<double> arrival;          ///< streaming-form stripe
+  std::vector<double> ready;            ///< streaming-form stripe
   /// (arrival, hash power) pairs for the λ coverage accumulation; lives here
   /// so metrics::eval_all_sources is allocation-free per source too.
   std::vector<std::pair<double, double>> by_arrival;

@@ -17,8 +17,8 @@
 ///  Both are kept as parity oracles and for single-shot callers. The round
 ///  loop and the metrics use the third:
 ///  - the settle-once bucket kernel (sim/parallel.hpp) over the same CSR,
-///    run per source by the batched engine (sim/batch.hpp) or by a worker
-///    team inside one source.
+///    run once per source on one scratch lane by the batched engine
+///    (sim/batch.hpp), which fans a batch's sources across the pool.
 /// Their outputs are bit-identical — arrival is the exact minimum over
 /// identical per-path sums, independent of relaxation order — and
 /// `tests/sim_csr_parity_test.cpp` + `tests/sim_engine_diff_test.cpp`

@@ -1,7 +1,6 @@
 #include "sim/parallel.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -9,8 +8,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/dary_heap.hpp"
 #include "util/assert.hpp"
 #include "util/fixedpoint.hpp"
@@ -19,29 +16,11 @@
 
 namespace perigee::sim {
 
-const char* relax_engine_name(RelaxEngine engine) {
-  switch (engine) {
-    case RelaxEngine::Batched:
-      return "batched";
-    case RelaxEngine::ParallelDelta:
-      return "parallel-delta";
-  }
-  return "batched";
-}
-
-std::optional<RelaxEngine> relax_engine_from_name(std::string_view name) {
-  if (name == "batched") return RelaxEngine::Batched;
-  if (name == "parallel-delta" || name == "parallel") {
-    return RelaxEngine::ParallelDelta;
-  }
-  return std::nullopt;
-}
-
 namespace {
 
 using Lane = MultiSourceScratch::Lane;
 
-/// "No pending bucket" sentinel for the next-bucket vote.
+/// "No pending bucket" sentinel: the lane is drained.
 constexpr std::uint64_t kNoBucket = std::numeric_limits<std::uint64_t>::max();
 /// Hard per-lane ring ceiling.
 constexpr std::uint64_t kMaxRingBuckets = std::uint64_t{1} << 20;
@@ -94,29 +73,12 @@ std::uint64_t next_nonempty_after(const Lane& lane, std::uint64_t cur) {
   return kNoBucket;
 }
 
-/// The team's settle-once drain. Every member owns the contiguous node
-/// range [member * chunk, ...): it is the only writer of those arrival
-/// entries and of its own lane. Each non-empty bucket costs two barrier
-/// phases in a real team:
-///
-///   relax:  drain my slice of the current bucket; owned targets update in
-///           place, remote targets buffer into per-owner outboxes (no
-///           cross-range reads — a pre-check against the owner's arrival
-///           would race);
-///   merge:  apply the inboxes addressed to me in fixed member order, then
-///           vote my next non-empty bucket; the second barrier's completion
-///           picks the global minimum.
-///
-/// A team of one owns every node, so its outboxes stay empty and it picks
-/// its own next bucket without a barrier. Settle-once (see parallel.hpp)
-/// makes any relax interleaving produce the same bytes, so the team size
-/// never shows in the output.
-void delta_step_team(const net::CsrTopology& csr, const RelaxPlan& plan,
-                     net::NodeId src, MultiSourceScratch& scratch,
-                     std::size_t first_lane, unsigned members,
-                     double* arrival, runner::ThreadPool* pool) {
+/// The settle-once drain: bucket by bucket in index order, each entry
+/// relaxing its row once. The lane owns every node, so every candidate
+/// updates `arrival` in place and queues into the lane's own ring.
+void drain_buckets(const net::CsrTopology& csr, const RelaxPlan& plan,
+                   net::NodeId src, Lane& lane, double* arrival) {
   const std::size_t n = csr.size();
-  const std::size_t chunk = (n + members - 1) / members;
   const std::size_t* offsets = csr.offsets();
   const std::size_t* row_ends = csr.row_ends();
   const net::NodeId* peers = csr.peer_data();
@@ -127,128 +89,64 @@ void delta_step_team(const net::CsrTopology& csr, const RelaxPlan& plan,
     return static_cast<std::uint64_t>(key * scale) >> shift;
   };
 
-  struct Shared {
-    std::uint64_t cur = 0;
-    bool done = false;
-  } shared;
-  auto pick_next = [&]() noexcept {
-    std::uint64_t best = kNoBucket;
-    for (unsigned w = 0; w < members; ++w) {
-      best = std::min(best, scratch.lane(first_lane + w).next_bucket);
-    }
-    shared.cur = best;
-    shared.done = best == kNoBucket;
-  };
-  std::optional<std::barrier<>> relax_done;
-  std::optional<std::barrier<decltype(pick_next)>> merge_done;
-  if (members > 1) {
-    relax_done.emplace(members);
-    merge_done.emplace(members, pick_next);
-  }
-
-  // The hot pointers are captured by value and the lane's vectors read
-  // through local pointers: the settled-flag byte stores and the ring
-  // pushes could otherwise alias them and force a reload per entry.
-  auto member = [&, offsets, row_ends, peers, delays, arrival,
-                 bucket_of](unsigned w) {
-    Lane& lane = scratch.lane(first_lane + w);
-    const auto lo = static_cast<net::NodeId>(std::min(w * chunk, n));
-    const auto hi = static_cast<net::NodeId>(std::min(lo + chunk, n));
-    ensure_ring(lane, plan.ring_cap);
-    lane.outbox.resize(members);
-    lane.settled.assign(hi - lo, 0);
-    std::uint8_t* const settled = lane.settled.data();  // by u - lo
-    std::fill(arrival + lo, arrival + hi, util::kInf);
-    if (src >= lo && src < hi) {
-      arrival[src] = 0.0;
-      insert(lane, 0, src);
-    }
-    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_pops = 0);
-    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_stale = 0);
-    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_remote = 0);
-    PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_buckets = 0);
-    while (true) {
-      const std::uint64_t cur = shared.cur;
-      PERIGEE_TELEMETRY_ONLY(++tally_buckets;)
-      for (unsigned t = 0; t < members; ++t) lane.outbox[t].clear();
-      // Stable while draining: every insert lands in a later bucket, and
-      // the ring is sized so no later bucket shares this slot.
-      const std::vector<net::NodeId>& slot = lane.ring[cur & lane.mask];
-      const net::NodeId* const entries = slot.data();
-      const std::size_t count = slot.size();
-      PERIGEE_TELEMETRY_ONLY(tally_pops += count;)
-      for (std::size_t i = 0; i < count; ++i) {
-        const net::NodeId u = entries[i];
-        if (i + 1 < count) {
-          // Overlap the next entry's data-dependent loads with this row.
-          PERIGEE_PREFETCH(&arrival[entries[i + 1]]);
-          PERIGEE_PREFETCH(&settled[entries[i + 1] - lo]);
-        }
-        // Branchless settle: a stale duplicate or non-forwarding node scans
-        // an empty row (row_end collapsed onto row_begin) instead of taking
-        // a branch the predictor can't learn. The flag is written
-        // unconditionally; a stale entry's ready value is computed but
-        // never used.
-        const std::uint8_t was_settled = settled[u - lo];
-        settled[u - lo] = 1;
-        const bool live =
-            (was_settled == 0) & (csr.forwards(u) | (u == src));
-        PERIGEE_TELEMETRY_ONLY(tally_stale += was_settled;)
-        const double ready_u =
-            u == src ? 0.0 : arrival[u] + csr.validation_ms(u);
-        const std::size_t row_begin = offsets[u];
-        const std::size_t row_end = live ? row_ends[u] : row_begin;
-        for (std::size_t e = row_begin; e < row_end; ++e) {
-          const net::NodeId v = peers[e];
-          const double cand = ready_u + delays[e];
-          if (v >= lo && v < hi) {
-            if (cand < arrival[v]) {
-              arrival[v] = cand;
-              // The exact-grid argument puts every candidate in a bucket
-              // > cur already; the max is belt-and-braces, not a rounding
-              // repair.
-              insert(lane, std::max(bucket_of(cand), cur + 1), v);
-            }
-          } else {
-            PERIGEE_TELEMETRY_ONLY(++tally_remote;)
-            lane.outbox[v / chunk].push_back({v, cand});
-          }
+  // The lane's vectors are read through local pointers: the settled-flag
+  // byte stores and the ring pushes could otherwise alias them and force a
+  // reload per entry.
+  ensure_ring(lane, plan.ring_cap);
+  lane.settled.assign(n, 0);
+  std::uint8_t* const settled = lane.settled.data();
+  std::fill_n(arrival, n, util::kInf);
+  arrival[src] = 0.0;
+  insert(lane, 0, src);
+  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_pops = 0);
+  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_stale = 0);
+  PERIGEE_TELEMETRY_ONLY(std::uint64_t tally_buckets = 0);
+  for (std::uint64_t cur = 0; cur != kNoBucket;
+       cur = next_nonempty_after(lane, cur)) {
+    PERIGEE_TELEMETRY_ONLY(++tally_buckets;)
+    // Stable while draining: every insert lands in a later bucket, and
+    // the ring is sized so no later bucket shares this slot.
+    const std::vector<net::NodeId>& slot = lane.ring[cur & lane.mask];
+    const net::NodeId* const entries = slot.data();
+    const std::size_t count = slot.size();
+    PERIGEE_TELEMETRY_ONLY(tally_pops += count;)
+    for (std::size_t i = 0; i < count; ++i) {
+      const net::NodeId u = entries[i];
+      if (i + 1 < count) {
+        // Overlap the next entry's data-dependent loads with this row.
+        PERIGEE_PREFETCH(&arrival[entries[i + 1]]);
+        PERIGEE_PREFETCH(&settled[entries[i + 1]]);
+      }
+      // Branchless settle: a stale duplicate or non-forwarding node scans
+      // an empty row (row_end collapsed onto row_begin) instead of taking
+      // a branch the predictor can't learn. The flag is written
+      // unconditionally; a stale entry's ready value is computed but
+      // never used.
+      const std::uint8_t was_settled = settled[u];
+      settled[u] = 1;
+      const bool live = (was_settled == 0) & (csr.forwards(u) | (u == src));
+      PERIGEE_TELEMETRY_ONLY(tally_stale += was_settled;)
+      const double ready_u =
+          u == src ? 0.0 : arrival[u] + csr.validation_ms(u);
+      const std::size_t row_begin = offsets[u];
+      const std::size_t row_end = live ? row_ends[u] : row_begin;
+      for (std::size_t e = row_begin; e < row_end; ++e) {
+        const net::NodeId v = peers[e];
+        const double cand = ready_u + delays[e];
+        if (cand < arrival[v]) {
+          arrival[v] = cand;
+          // The exact-grid argument puts every candidate in a bucket
+          // > cur already; the max is belt-and-braces, not a rounding
+          // repair.
+          insert(lane, std::max(bucket_of(cand), cur + 1), v);
         }
       }
-      drop_bucket(lane, cur);
-      if (members == 1) {
-        shared.cur = next_nonempty_after(lane, cur);
-        shared.done = shared.cur == kNoBucket;
-      } else {
-        relax_done->arrive_and_wait();
-        // Merge: inboxes in fixed member order — deterministic, though
-        // settle-once means any order would yield the same bytes.
-        for (unsigned w2 = 0; w2 < members; ++w2) {
-          for (const auto& c : scratch.lane(first_lane + w2).outbox[w]) {
-            if (c.key < arrival[c.node]) {
-              arrival[c.node] = c.key;
-              insert(lane, std::max(bucket_of(c.key), cur + 1), c.node);
-            }
-          }
-        }
-        lane.next_bucket = next_nonempty_after(lane, cur);
-        merge_done->arrive_and_wait();
-      }
-      if (shared.done) break;
     }
-    PERIGEE_COUNTER_ADD("engine.bucket.pops", tally_pops);
-    PERIGEE_COUNTER_ADD("engine.bucket.stale_pops", tally_stale);
-    if (w == 0) PERIGEE_COUNTER_ADD("engine.bucket.rounds", tally_buckets);
-    if (members > 1) {
-      PERIGEE_COUNTER_ADD("engine.team.remote_candidates", tally_remote);
-    }
-  };
-
-  if (members == 1) {
-    member(0);
-  } else {
-    runner::run_team(*pool, members, member);
+    drop_bucket(lane, cur);
   }
+  PERIGEE_COUNTER_ADD("engine.bucket.pops", tally_pops);
+  PERIGEE_COUNTER_ADD("engine.bucket.stale_pops", tally_stale);
+  PERIGEE_COUNTER_ADD("engine.bucket.rounds", tally_buckets);
 }
 
 /// The sequential fallback for graphs the exact grid rejects: a lazy
@@ -328,18 +226,15 @@ RelaxPlan make_relax_plan(const net::CsrTopology& csr) {
 }
 
 void relax_source(const net::CsrTopology& csr, const RelaxPlan& plan,
-                  net::NodeId src, MultiSourceScratch& scratch,
-                  std::size_t first_lane, unsigned members, double* arrival,
-                  double* ready, runner::ThreadPool* pool) {
+                  net::NodeId src, Lane& lane, double* arrival,
+                  double* ready) {
   const std::size_t n = csr.size();
   PERIGEE_ASSERT(src < n);
-  PERIGEE_ASSERT(members >= 1 && first_lane + members <= scratch.lanes());
   if (plan.use_buckets) {
-    delta_step_team(csr, plan, src, scratch, first_lane, members, arrival,
-                    pool);
+    drain_buckets(csr, plan, src, lane, arrival);
     PERIGEE_COUNTER_ADD("engine.bucket.sources", 1);
   } else {
-    solve_heap(csr, src, scratch.lane(first_lane).heap, arrival);
+    solve_heap(csr, src, lane.heap, arrival);
   }
   if (ready != nullptr) {
     // One pass after the relaxation: the last value the reference engines
@@ -350,37 +245,6 @@ void relax_source(const net::CsrTopology& csr, const RelaxPlan& plan,
     }
     ready[src] = 0.0;  // the miner does not validate its own block
   }
-}
-
-void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
-                                 MultiSourceScratch& scratch, double* arrival,
-                                 double* ready, runner::ThreadPool* pool) {
-  const std::size_t n = csr.size();
-  PERIGEE_TRACE_SPAN_ARGS(parallel_span, "broadcast_parallel",
-                          obs::TraceArgs().arg("nodes", n).json());
-  const RelaxPlan plan = make_relax_plan(csr);
-  // One member per pool worker, never more than there are nodes to own;
-  // the heap fallback is sequential and needs one lane.
-  const unsigned workers = pool != nullptr ? std::max(pool->size(), 1u) : 1;
-  const unsigned members =
-      plan.use_buckets
-          ? static_cast<unsigned>(std::min<std::size_t>(workers, n))
-          : 1;
-  scratch.ensure_lanes(members);
-  relax_source(csr, plan, src, scratch, 0, members, arrival, ready, pool);
-  PERIGEE_HISTOGRAM_OBSERVE("engine.team.workers", members);
-  PERIGEE_GAUGE_MAX("mem.batch_scratch_bytes", scratch.memory_bytes());
-}
-
-void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
-                                 MultiSourceScratch& scratch,
-                                 BroadcastResult& out,
-                                 runner::ThreadPool* pool) {
-  out.miner = src;
-  out.arrival.resize(csr.size());
-  out.ready.resize(csr.size());
-  simulate_broadcast_parallel(csr, src, scratch, out.arrival.data(),
-                              out.ready.data(), pool);
 }
 
 }  // namespace perigee::sim

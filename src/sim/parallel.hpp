@@ -2,10 +2,11 @@
 /// \brief The settle-once bucket relaxation kernel behind every delay-only
 /// broadcast.
 ///
-/// The batched engine (sim/batch.hpp) runs this kernel once per source with
-/// a team of one on its worker's lane; `simulate_broadcast_parallel` runs it
-/// with a team the size of the pool, so one large single-source broadcast
-/// spreads over several cores. Both keep the repo's byte-parity contract by
+/// One call relaxes one source on one scratch lane; the lane owns every
+/// node, so nothing is shared with another call. Parallelism lives one
+/// level up: the batched engine (sim/batch.hpp) fans a batch's sources
+/// across the pool, one lane per worker, and the sweep runner fans out
+/// cells and seeds. The kernel keeps the repo's byte-parity contract by
 /// bucketing on an exact fixed-point grid (util/fixedpoint.hpp):
 ///
 ///  - keys are bucketed by the exact integer index
@@ -21,19 +22,9 @@
 ///    compare);
 ///  - settle-once makes the relax order *within* a bucket irrelevant to
 ///    the outputs: every arrival is the unique fixed point of the Bellman
-///    recurrence computed through identical double additions, so a bucket
-///    can be drained in any order, and by several workers at once;
-///  - nodes are owner-partitioned into contiguous per-member ranges. In the
-///    relax phase each member drains its own slice of the current bucket,
-///    applies candidates for nodes it owns directly, and buffers candidates
-///    for remote nodes per target member — members never read or write
-///    another member's arrival entries. A barrier later, the merge phase
-///    applies each owner's inbox in fixed member order and the next
-///    non-empty bucket is agreed on (two barrier crossings per non-empty
-///    bucket, see runner::run_team). A team of one owns every node, never
-///    buffers and never waits on a barrier. The result is byte-identical to
-///    the sequential oracle at *any* team size;
-///    tests/sim_engine_diff_test.cpp pins that at 1, 2 and 4 members.
+///    recurrence computed through identical double additions, so the
+///    result is byte-identical to the sequential heap oracles
+///    (tests/sim_engine_diff_test.cpp pins it).
 ///
 /// Graphs the exact grid cannot serve (no edges, a zero or non-finite
 /// minimum delay, a key span beyond 2^52 grid units or the 2^20-bucket
@@ -41,37 +32,22 @@
 /// kernel is total over every regime the tests throw at it.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 #include "net/csr.hpp"
 #include "net/types.hpp"
 #include "sim/batch.hpp"
-#include "sim/broadcast.hpp"
-
-namespace perigee::runner {
-class ThreadPool;
-}  // namespace perigee::runner
 
 namespace perigee::sim {
 
-/// Worker layout for the round loop's Fast engine: the batched engine
-/// (the round's sources fan out across the pool, a team of one each) or a
-/// team the size of the pool inside every source. Outputs are
-/// byte-identical either way; the knob is a wall-clock A/B switch plumbed
-/// through `core::ExperimentConfig`, `RoundRunner` and
-/// `perigee_sweep --engine`.
+/// The Fast engine's relaxation backend. `Batched` is the only one: the
+/// round's sources fan out across the pool, one settle-once relaxation
+/// each. The enum and `core::ExperimentConfig::relax_engine` remain only
+/// because the frozen benchmark harness (perfbench/harness.cpp) still
+/// names them.
 enum class RelaxEngine {
   Batched,
-  ParallelDelta,
 };
-
-/// CLI spelling of `engine` ("batched" / "parallel-delta").
-const char* relax_engine_name(RelaxEngine engine);
-/// Inverse of `relax_engine_name`; nullopt for unknown spellings.
-std::optional<RelaxEngine> relax_engine_from_name(std::string_view name);
 
 /// Exact-grid bucketing plan of one snapshot, derived once per batch from
 /// its cached delay bounds: the power-of-two grid `scale`, the bucket width
@@ -87,29 +63,11 @@ struct RelaxPlan {
 /// The plan for `csr` (see the file comment for when it is rejected).
 RelaxPlan make_relax_plan(const net::CsrTopology& csr);
 
-/// One source's relaxation into caller-provided stripes of `csr.size()`
-/// doubles, run by a team of `members` workers on the scratch lanes
-/// `first_lane .. first_lane + members - 1` (ensured by the caller).
-/// `members > 1` needs `pool` with at least that many workers. `ready` may
-/// be null to skip the ready fill. Byte-identical to `simulate_broadcast`
-/// at any team size.
+/// One source's relaxation on `lane` into caller-provided stripes of
+/// `csr.size()` doubles. `ready` may be null to skip the ready fill.
+/// Byte-identical to `simulate_broadcast`.
 void relax_source(const net::CsrTopology& csr, const RelaxPlan& plan,
-                  net::NodeId src, MultiSourceScratch& scratch,
-                  std::size_t first_lane, unsigned members, double* arrival,
-                  double* ready, runner::ThreadPool* pool);
-
-/// Single-source broadcast with a team the size of `pool` (inline with a
-/// null pool). `arrival`/`ready` are caller-provided stripes of
-/// `csr.size()` doubles; `ready` may be null to skip the ready fill.
-void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
-                                 MultiSourceScratch& scratch, double* arrival,
-                                 double* ready,
-                                 runner::ThreadPool* pool = nullptr);
-
-/// Convenience form filling a `BroadcastResult` (tests, block hooks).
-void simulate_broadcast_parallel(const net::CsrTopology& csr, net::NodeId src,
-                                 MultiSourceScratch& scratch,
-                                 BroadcastResult& out,
-                                 runner::ThreadPool* pool = nullptr);
+                  net::NodeId src, MultiSourceScratch::Lane& lane,
+                  double* arrival, double* ready);
 
 }  // namespace perigee::sim

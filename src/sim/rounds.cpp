@@ -58,26 +58,13 @@ void RoundRunner::run_round() {
     }
     if (egress_config_.has_value()) {
       // Queued-transmission regime: the egress engine replaces the
-      // delay-only relaxation outright (it owns serialization + queue wait,
-      // so the relax-engine A/B knob does not apply). Stripe layout is
-      // identical, so hooks and observation recording are untouched.
+      // delay-only relaxation outright (it owns serialization + queue
+      // wait). Stripe layout is identical, so hooks and observation
+      // recording are untouched.
       const EgressPlan& plan =
           egress_plans_.get(*network_, *egress_config_);
       simulate_broadcast_egress_batch(csr, *egress_config_, plan, miners_,
                                       egress_scratch_, batch_result_, pool_);
-    } else if (relax_engine_ == RelaxEngine::ParallelDelta) {
-      // Same stripe layout as the batched engine, but each source runs
-      // with a team the size of the pool (workers cooperate *within* a
-      // block instead of fanning out across blocks — the winning shape
-      // when n is large and K small). Stripe bytes are identical either
-      // way, so everything downstream is too.
-      batch_result_.prepare(csr.size(), miners_);
-      for (std::size_t b = 0; b < miners_.size(); ++b) {
-        simulate_broadcast_parallel(csr, miners_[b], batch_scratch_,
-                                    batch_result_.arrival_data(b),
-                                    batch_result_.ready_data(b),
-                                    pool_);
-      }
     } else {
       simulate_broadcast_batch(csr, miners_, batch_scratch_, batch_result_,
                                pool_);

@@ -86,21 +86,16 @@ class RoundRunner {
   /// count, so this only changes wall-clock.
   void set_thread_pool(runner::ThreadPool* pool) { pool_ = pool; }
 
-  /// Selects how the Fast engine's block batch uses the pool: the batched
-  /// engine (default; the round's K sources fan out across workers, a team
-  /// of one each) or one team the size of the pool inside every source
-  /// (the scale path for large n with small K). Both run the same
-  /// settle-once kernel and the outputs are byte-identical (the engine-diff
-  /// suite pins it), so like `set_thread_pool` this only changes
-  /// wall-clock.
-  void set_relax_engine(RelaxEngine engine) { relax_engine_ = engine; }
-  RelaxEngine relax_engine() const { return relax_engine_; }
+  /// No-op: the batched engine is the only relaxation backend. Kept only
+  /// because the frozen benchmark harness (perfbench/harness.cpp) calls it;
+  /// delete it with `RelaxEngine` in the next benchmark change.
+  void set_relax_engine(RelaxEngine) {}
 
   /// Routes the Fast engine's block batches through the queued-transmission
   /// egress engine (sim/egress.hpp) with this configuration. Unlike the
-  /// wall-clock-only engine knobs above, this is a *result* axis: arrival
-  /// times gain serialization + queue wait. Takes precedence over
-  /// `set_relax_engine` (the relaxation kernel models propagation only).
+  /// wall-clock-only knobs above, this is a *result* axis: arrival times
+  /// gain serialization + queue wait on top of the relaxation kernel's
+  /// propagation.
   /// Pass nullopt to restore delay-only broadcasts.
   void set_transmission(std::optional<EgressConfig> config) {
     egress_config_ = std::move(config);
@@ -157,7 +152,6 @@ class RoundRunner {
   std::vector<net::NodeId> miners_; // the round's pre-sampled miner batch
   MultiSourceScratch batch_scratch_;  // kernel lanes, reused across rounds
   MultiSourceResult batch_result_;    // SoA stripes, reused across rounds
-  RelaxEngine relax_engine_ = RelaxEngine::Batched;
   std::optional<EgressConfig> egress_config_;  // queued-transmission regime
   EgressPlanCache egress_plans_;      // per-node rates, profile-versioned
   EgressScratch egress_scratch_;      // event-heap lanes, reused across rounds

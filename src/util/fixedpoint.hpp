@@ -2,8 +2,9 @@
 /// \brief Power-of-two fixed-point grid for the relaxation kernel's bucket
 /// index.
 ///
-/// The settle-once kernel (sim/parallel.hpp) places Dijkstra keys into
-/// uniform-width buckets. Doing that with a double multiply
+/// The settle-once kernel (sim/parallel.hpp), the one bucket relaxation,
+/// runs each source on a single scratch lane and places its Dijkstra keys
+/// into uniform-width buckets. Doing that with a double multiply
 /// (`key * inv_width`) rounds: an equal key can land one bucket low.
 /// Quantizing keys onto a fixed-point grid whose scale is a power of two
 /// removes the problem at the root:

@@ -169,24 +169,21 @@ TEST(GoldenTrace, CongestionSweepIsJobsInvariant) {
   EXPECT_EQ(sequential.str(), parallel.str());
 }
 
-// Same contract with the parallel delta-stepping engine switched on
-// (`--engine parallel-delta`): the sweep JSON stays bit-identical both
-// across sweep worker counts and against the batched-engine run above —
-// the engine knob is a wall-clock A/B switch, never a result axis.
-TEST(GoldenTrace, GoldenSweepIsEngineAndJobsInvariant) {
+// Same contract one level down: with `engine_jobs = 2` every seed's block
+// batches and λ evaluations fan their sources across a two-worker pool.
+// engine_jobs is a wall-clock knob, never a result axis, and lives nowhere
+// in the JSON, so the whole document must match the inline run byte for
+// byte.
+TEST(GoldenTrace, GoldenSweepIsEngineJobsInvariant) {
   runner::SweepSpec spec = golden_spec();
-  std::ostringstream batched;
-  runner::write_json(batched, spec, runner::SweepRunner(1).run(spec));
+  spec.base.engine_jobs = 1;
+  std::ostringstream inline_sources;
+  runner::write_json(inline_sources, spec, runner::SweepRunner(1).run(spec));
 
-  spec.base.relax_engine = sim::RelaxEngine::ParallelDelta;
-  spec.base.engine_jobs = 2;  // worker teams inside each broadcast
-  std::ostringstream delta_seq, delta_par;
-  runner::write_json(delta_seq, spec, runner::SweepRunner(1).run(spec));
-  runner::write_json(delta_par, spec, runner::SweepRunner(3).run(spec));
-  EXPECT_EQ(delta_seq.str(), delta_par.str());
-  // The engine echo lives nowhere in the JSON, so the whole document must
-  // match the batched run byte for byte.
-  EXPECT_EQ(batched.str(), delta_seq.str());
+  spec.base.engine_jobs = 2;
+  std::ostringstream fanned_sources;
+  runner::write_json(fanned_sources, spec, runner::SweepRunner(1).run(spec));
+  EXPECT_EQ(inline_sources.str(), fanned_sources.str());
 }
 
 }  // namespace

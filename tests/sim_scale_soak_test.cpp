@@ -1,5 +1,6 @@
 // Scale soak (integration tier): one n = 10^5 single-source broadcast
-// through a two-worker team of the relaxation kernel, held to
+// through the relaxation kernel (a one-source simulate_broadcast_batch),
+// held to
 //
 //  - completion: every BFS-reachable node gets a finite arrival, every
 //    unreachable node stays +inf (exact count equality, not a sample);
@@ -9,6 +10,7 @@
 //    anchors), scaled up under sanitizer builds for shadow/redzone cost.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -17,9 +19,8 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "obs/meta.hpp"
-#include "runner/thread_pool.hpp"
+#include "sim/batch.hpp"
 #include "sim/broadcast.hpp"
-#include "sim/parallel.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 
@@ -82,11 +83,13 @@ TEST(ScaleSoak, HundredThousandNodeBroadcastCompletesWithinBudget) {
   // purposes; guard the premise so a silently-empty graph cannot pass.
   ASSERT_GT(reachable, kNodes / 2);
 
-  // The tentpole path: one source, a worker team inside the broadcast.
-  runner::ThreadPool pool(2);
+  // The round loop's path: the settle-once kernel on one scratch lane.
+  const std::array<net::NodeId, 1> sources{src};
   sim::MultiSourceScratch scratch;
+  sim::MultiSourceResult batch;
+  sim::simulate_broadcast_batch(csr, sources, scratch, batch);
   sim::BroadcastResult result;
-  sim::simulate_broadcast_parallel(csr, src, scratch, result, &pool);
+  batch.extract(0, result);
 
   std::size_t finite = 0;
   for (const double a : result.arrival) finite += std::isfinite(a) ? 1 : 0;

@@ -72,13 +72,13 @@ TEST(GridFingerprint, StableAndSensitiveToResultAxes) {
 }
 
 TEST(GridFingerprint, IgnoresWallClockOnlyKnobs) {
-  // A checkpoint taken under one engine must resume under another: these
-  // switches are byte-parity-pinned elsewhere and not result axes.
+  // A checkpoint taken at one worker count or CSR path must resume under
+  // another: these switches are byte-parity-pinned elsewhere and not result
+  // axes.
   const std::string fingerprint = grid_fingerprint(service_spec());
   SweepSpec changed = service_spec();
   changed.base.engine_jobs = 8;
   changed.base.incremental_csr = false;
-  changed.base.relax_engine = sim::RelaxEngine::ParallelDelta;
   EXPECT_EQ(grid_fingerprint(changed), fingerprint);
 }
 
