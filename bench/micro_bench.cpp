@@ -20,6 +20,7 @@
 #include "sim/batch.hpp"
 #include "sim/egress.hpp"
 #include "sim/gossip.hpp"
+#include "sim/observations.hpp"
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
 #include "util/stats.hpp"
@@ -382,6 +383,57 @@ void BM_RoundWithUcbScoring(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RoundWithUcbScoring)->Arg(200)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+// One update phase of a Perigee selector in isolation: every node's
+// on_round_end over a fixed observation table of |B| blocks (1 for UCB, as
+// in its single-block rounds; 100 for subset and vanilla), with the
+// topology reset before each phase outside the clock. Selector state
+// persists across iterations, so UCB times its steady state of long-lived
+// arms.
+void selector_round(benchmark::State& state, core::Algorithm algorithm,
+                    std::size_t blocks) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Fixture f(n);
+  const net::CsrTopology csr = net::CsrTopology::build(f.topology, *f.network);
+  sim::ObservationTable obs;
+  obs.begin_round(f.topology, blocks);
+  sim::BroadcastScratch scratch;
+  sim::BroadcastResult result;
+  util::Rng miners(11);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const auto miner = static_cast<net::NodeId>(miners.uniform_index(n));
+    sim::simulate_broadcast(csr, miner, scratch, result);
+    obs.record_block(csr, result);
+  }
+  auto selectors = core::make_selectors(n, algorithm);
+  const net::Topology initial = f.topology;
+  util::Rng rng(13);
+  for (auto _ : state) {
+    state.PauseTiming();
+    f.topology = initial;
+    state.ResumeTiming();
+    sim::RoundContext ctx{obs, f.topology, *f.network, rng, 0};
+    for (net::NodeId v = 0; v < n; ++v) selectors[v]->on_round_end(v, ctx);
+    benchmark::DoNotOptimize(f.topology.version());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);  // on_round_end calls
+}
+
+void BM_SelectorRoundUcb(benchmark::State& state) {
+  selector_round(state, core::Algorithm::PerigeeUcb, 1);
+}
+BENCHMARK(BM_SelectorRoundUcb)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+void BM_SelectorRoundSubset(benchmark::State& state) {
+  selector_round(state, core::Algorithm::PerigeeSubset, 100);
+}
+BENCHMARK(BM_SelectorRoundSubset)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+void BM_SelectorRoundVanilla(benchmark::State& state) {
+  selector_round(state, core::Algorithm::PerigeeVanilla, 100);
+}
+BENCHMARK(BM_SelectorRoundVanilla)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 // The churn-recompile path: every round the ChurnDriver tears down and
 // redials a node fraction through the pre-round hook, so each round pays one

@@ -45,7 +45,9 @@ void SubsetSelector::on_round_end(net::NodeId self, sim::RoundContext& ctx) {
       for (std::size_t b = 0; b < blocks; ++b) {
         merged[b] = std::min(rows[c][b], best[b]);
       }
-      const double score = util::percentile(merged, params_.percentile);
+      // merged is rebuilt per candidate, so the selection may permute it.
+      const double score =
+          util::percentile_in_place(merged, params_.percentile);
       // Strict < keeps the lowest candidate index on ties: deterministic.
       if (score < best_score ||
           (best_idx == candidates.size() && std::isinf(score))) {

@@ -1,5 +1,6 @@
 #include "runner/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -162,6 +163,31 @@ std::vector<SweepCell> expand_grid(const SweepSpec& spec) {
   return cells;
 }
 
+std::vector<std::size_t> job_order(const std::vector<SweepCell>& cells,
+                                   std::size_t seeds) {
+  std::vector<std::uint64_t> cost(cells.size(), 0);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const core::ExperimentConfig& config = cells[c].config;
+    std::uint64_t rounds = 0;
+    if (config.algorithm == core::Algorithm::PerigeeUcb) {
+      rounds = static_cast<std::uint64_t>(config.rounds) *
+               static_cast<std::uint64_t>(config.blocks_per_round);
+    } else if (core::is_adaptive(config.algorithm) ||
+               (config.algorithm != core::Algorithm::Ideal &&
+                config.scenario.churn.enabled())) {
+      rounds = static_cast<std::uint64_t>(config.rounds);
+    }
+    cost[c] = rounds * config.net.n;
+  }
+  std::vector<std::size_t> order(cells.size() * seeds);
+  for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a / seeds] > cost[b / seeds];
+                   });
+  return order;
+}
+
 SweepRunner::SweepRunner(int jobs) : workers_(resolve_jobs(jobs)) {}
 
 SweepResult SweepRunner::run(const SweepSpec& spec,
@@ -264,45 +290,61 @@ std::vector<SlotCurves> SweepRunner::run_slots(const SweepSpec& spec,
   // Resumed slots count as instantly done; plain runs keep the historical
   // contract of exactly one progress call per completed job.
   if (progress && resumed > 0) progress(resumed, total);
+  const auto run_job = [&](std::size_t j) {
+    const std::size_t c = j / seeds;
+    const std::size_t s = j % seeds;
+    core::ExperimentConfig config = cells[c].config;
+    config.seed += static_cast<std::uint64_t>(s);
+    PERIGEE_TRACE_SPAN_ARGS(cell_span, "sweep_cell",
+                            obs::TraceArgs()
+                                .arg("cell", cells[c].label)
+                                .arg("seed", config.seed)
+                                .json());
+    BuildGroup* group = group_of[j];
+    std::shared_ptr<const core::Scenario> prebuilt;
+    if (group != nullptr) {
+      bool built = false;
+      std::call_once(group->once, [&] {
+        group->scenario = std::make_shared<const core::Scenario>(
+            core::build_scenario(config));
+        built = true;
+        PERIGEE_COUNTER_ADD("sweep.scenario_builds", 1);
+      });
+      if (!built) PERIGEE_COUNTER_ADD("sweep.scenario_reuses", 1);
+      prebuilt = group->scenario;
+    }
+    core::CellCurves curves = core::run_cell_curves(config, prebuilt.get());
+    if (group != nullptr &&
+        group->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      group->scenario.reset();  // last user; `prebuilt` copies keep theirs
+    }
+    slots[j] = SlotCurves{c, s, std::move(curves.lambda),
+                          std::move(curves.lambda50)};
+    have[j] = 1;
+    if (store && store->save(slots[j])) {
+      PERIGEE_COUNTER_ADD("sweep.checkpoint_writes", 1);
+    }
+    if (progress) {
+      progress(done.fetch_add(1, std::memory_order_relaxed) + 1, total);
+    }
+  };
+
+  // Critical job first: one task per worker claims the next job of this
+  // shard's share of job_order() through a shared cursor until none is left.
+  std::vector<std::size_t> order;
+  order.reserve(total - resumed);
+  for (const std::size_t j : job_order(cells, seeds)) {
+    if (mine(j) && !have[j]) order.push_back(j);
+  }
+  std::atomic<std::size_t> cursor{0};
   ThreadPool pool(workers_);
-  for (std::size_t j = 0; j < jobs_total; ++j) {
-    if (!mine(j) || have[j]) continue;
-    pool.submit([&, j] {
-      const std::size_t c = j / seeds;
-      const std::size_t s = j % seeds;
-      core::ExperimentConfig config = cells[c].config;
-      config.seed += static_cast<std::uint64_t>(s);
-      PERIGEE_TRACE_SPAN_ARGS(cell_span, "sweep_cell",
-                              obs::TraceArgs()
-                                  .arg("cell", cells[c].label)
-                                  .arg("seed", config.seed)
-                                  .json());
-      BuildGroup* group = group_of[j];
-      std::shared_ptr<const core::Scenario> prebuilt;
-      if (group != nullptr) {
-        bool built = false;
-        std::call_once(group->once, [&] {
-          group->scenario = std::make_shared<const core::Scenario>(
-              core::build_scenario(config));
-          built = true;
-          PERIGEE_COUNTER_ADD("sweep.scenario_builds", 1);
-        });
-        if (!built) PERIGEE_COUNTER_ADD("sweep.scenario_reuses", 1);
-        prebuilt = group->scenario;
-      }
-      core::CellCurves curves = core::run_cell_curves(config, prebuilt.get());
-      if (group != nullptr &&
-          group->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        group->scenario.reset();  // last user; `prebuilt` copies keep theirs
-      }
-      slots[j] = SlotCurves{c, s, std::move(curves.lambda),
-                            std::move(curves.lambda50)};
-      have[j] = 1;
-      if (store && store->save(slots[j])) {
-        PERIGEE_COUNTER_ADD("sweep.checkpoint_writes", 1);
-      }
-      if (progress) {
-        progress(done.fetch_add(1, std::memory_order_relaxed) + 1, total);
+  const std::size_t team = std::min<std::size_t>(workers_, order.size());
+  for (std::size_t w = 0; w < team; ++w) {
+    pool.submit([&] {
+      for (std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+           k < order.size();
+           k = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        run_job(order[k]);
       }
     });
   }

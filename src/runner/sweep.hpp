@@ -5,10 +5,13 @@
 // profile, withholding fraction, transmission model); expand_grid() turns
 // it into the cartesian
 // list of cells in a fixed nesting order, and SweepRunner executes every
-// (cell, seed) pair as an independent job on a work-stealing ThreadPool.
-// Each job derives its seed as base seed + seed index and writes into a
-// pre-assigned slot, so the aggregated per-cell Curves are bit-identical at
-// any --jobs value — including --jobs 1, which is the sequential reference.
+// (cell, seed) pair as an independent job on a ThreadPool. Workers claim
+// jobs through one shared cursor over job_order(): estimated cost
+// descending, so the critical job starts first instead of queueing behind
+// cheap ones. Each job derives its seed as base seed + seed index and writes
+// into a pre-assigned slot, so the aggregated per-cell Curves are
+// bit-identical at any --jobs value and in any claim order — including
+// --jobs 1, which is the sequential reference.
 //
 // The same slot discipline is what makes the sweep a restartable service
 // rather than an all-or-nothing batch: a job's output is a pure function of
@@ -80,6 +83,16 @@ struct SweepCell {
 // Throws std::invalid_argument when base.coverage is outside (0, 1], so a
 // bad grid fails before any job runs.
 std::vector<SweepCell> expand_grid(const SweepSpec& spec);
+
+// The order SweepRunner's workers claim jobs in, as job indices
+// j = cell * seeds + seed: estimated cost descending, ties in grid order.
+// A job's cost is the selector work of its cell, selector rounds × n (UCB
+// runs rounds × |B| single-block rounds; static cells under churn run
+// rounds; other static and ideal cells none). Deterministic, and a
+// permutation of every job of the grid; a shard claims its own jobs in the
+// same relative order.
+std::vector<std::size_t> job_order(const std::vector<SweepCell>& cells,
+                                   std::size_t seeds);
 
 struct CellResult {
   SweepCell cell;

@@ -9,26 +9,30 @@
 namespace perigee::util {
 
 double percentile_sorted(std::span<const double> sorted, double q) {
-  PERIGEE_ASSERT(q >= 0.0 && q <= 1.0);
-  if (sorted.empty()) return kInf;
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  const double a = sorted[lo];
-  const double b = sorted[hi];
-  if (std::isinf(a) || std::isinf(b)) {
-    // Interpolating with +inf poisons the result; return the dominating end.
-    return frac > 0.0 ? b : a;
-  }
-  return a + (b - a) * frac;
+  return percentile_by_rank(sorted.size(), q,
+                            [&](std::size_t i) { return sorted[i]; });
 }
 
 double percentile(std::span<const double> sample, double q) {
   std::vector<double> copy(sample.begin(), sample.end());
   std::sort(copy.begin(), copy.end());
   return percentile_sorted(copy, q);
+}
+
+double percentile_in_place(std::span<double> sample, double q) {
+  const auto first = sample.begin();
+  bool placed = false;
+  return percentile_by_rank(sample.size(), q, [&](std::size_t i) {
+    const auto it = first + static_cast<std::ptrdiff_t>(i);
+    if (!placed) {
+      // The lower rank comes first: fix it in place...
+      std::nth_element(first, it, sample.end());
+      placed = true;
+      return *it;
+    }
+    // ...so the upper one (rank i = lower + 1) is the least value above it.
+    return *std::min_element(it, sample.end());
+  });
 }
 
 double mean(std::span<const double> sample) {

@@ -5,11 +5,15 @@
 // entries (a neighbor that never delivered a block) to the top of the order.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace perigee::util {
 
@@ -23,6 +27,36 @@ double percentile(std::span<const double> sample, double q);
 // Same, but the caller guarantees `sorted` is ascending. +inf entries are
 // permitted and sort last.
 double percentile_sorted(std::span<const double> sorted, double q);
+
+// Same value as percentile(sample, q), computed in place: selects the two
+// order statistics the interpolation reads (nth_element, then min_element
+// above it) instead of sorting, and leaves `sample` permuted. O(n), no
+// allocation; the scoring loops pass a reused buffer.
+double percentile_in_place(std::span<double> sample, double q);
+
+// The type-7 interpolation every percentile above shares. `kth(i)` returns
+// the i-th smallest of n values (0-based, +inf last); it is called for the
+// lower rank and then, when it differs, the upper one, so a caller can
+// select lazily. Any ordered store of a sample (a sorted array, a
+// selection buffer, UCB's top-tail window) reads its percentile through
+// this one function and gets the same bits.
+template <typename Kth>
+double percentile_by_rank(std::size_t n, double q, Kth&& kth) {
+  PERIGEE_ASSERT(q >= 0.0 && q <= 1.0);
+  if (n == 0) return kInf;
+  if (n == 1) return kth(std::size_t{0});
+  const double rank = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, n - 1);
+  const double frac = rank - static_cast<double>(lo);
+  const double a = kth(lo);
+  const double b = hi == lo ? a : kth(hi);
+  if (std::isinf(a) || std::isinf(b)) {
+    // Interpolating with +inf poisons the result; return the dominating end.
+    return frac > 0.0 ? b : a;
+  }
+  return a + (b - a) * frac;
+}
 
 double mean(std::span<const double> sample);
 double stddev(std::span<const double> sample);  // sample stddev (n-1)

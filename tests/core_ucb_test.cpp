@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <deque>
+#include <vector>
 
 #include "sim/rounds.hpp"
 #include "topo/builders.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace perigee::core {
@@ -171,18 +176,72 @@ TEST(Ucb, SingleNeighborNeverDisconnected) {
   EXPECT_TRUE(t.has_out(0, 1));
 }
 
-TEST(UcbArmWindow, EvictsOldestAndStaysSorted) {
-  // The c = 0 estimate equals the exact windowed percentile; feed values in
-  // adversarial order through bounds_for's code path indirectly: here we
-  // exercise the selector's public behavior only, so craft alternating
-  // deliveries via two sources.
-  PerigeeParams params;
-  params.ucb_window = 4;
-  params.ucb_c = 0.0;
-  UcbSelector selector(params);
-  // No samples -> inf; covered above. (Window mechanics are further covered
-  // by the integration tests that run UCB for thousands of rounds.)
-  EXPECT_TRUE(std::isinf(selector.bounds_for(0).estimate));
+// A stream shape that stresses one side of the top-tail window.
+enum class Stream { Uniform, Duplicates, MonotoneRuns };
+
+double next_sample(Stream kind, util::Rng& rng, double& run_value,
+                   int& run_left, double& run_step) {
+  switch (kind) {
+    case Stream::Uniform:
+      return rng.uniform(0.0, 1000.0);
+    case Stream::Duplicates:
+      // Four distinct values: ties everywhere, the tail boundary included.
+      return 10.0 * static_cast<double>(rng.uniform_index(4));
+    case Stream::MonotoneRuns:
+      // Rising and falling runs: a falling run evicts tail samples and
+      // admits none, which forces the refill path.
+      if (run_left == 0) {
+        run_left = 1 + static_cast<int>(rng.uniform_index(300));
+        run_step = rng.uniform_index(2) == 0 ? 1.0 : -1.0;
+      }
+      --run_left;
+      run_value += run_step;
+      return run_value;
+  }
+  return 0.0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(TailWindow, MatchesSortedPercentileAfterEveryAdd) {
+  for (const std::size_t window : {1u, 2u, 3u, 4u, 37u, 256u}) {
+    for (const double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+      for (const Stream kind :
+           {Stream::Uniform, Stream::Duplicates, Stream::MonotoneRuns}) {
+        util::Rng rng(window * 1000 + static_cast<std::uint64_t>(q * 10) +
+                      static_cast<std::uint64_t>(kind) * 100);
+        TailWindow tail(window, q);
+        EXPECT_TRUE(std::isinf(tail.percentile()));
+        std::deque<double> recent;
+        double run_value = 500.0;
+        int run_left = 0;
+        double run_step = 1.0;
+        const std::size_t length = 10 * window + 20;
+        for (std::size_t i = 0; i < length; ++i) {
+          if (i == length / 2) {
+            // A reused arm: clearing keeps buffers, never stale samples.
+            tail.clear();
+            recent.clear();
+          }
+          const double x =
+              next_sample(kind, rng, run_value, run_left, run_step);
+          tail.add(x);
+          recent.push_back(x);
+          if (recent.size() > window) recent.pop_front();
+          std::vector<double> sorted(recent.begin(), recent.end());
+          std::sort(sorted.begin(), sorted.end());
+          const double expect = util::percentile_sorted(sorted, q);
+          ASSERT_EQ(tail.size(), recent.size());
+          ASSERT_TRUE(same_bits(tail.percentile(), expect))
+              << "window " << window << " q " << q << " stream "
+              << static_cast<int>(kind) << " add " << i << ": "
+              << tail.percentile() << " vs " << expect;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -84,6 +85,74 @@ TEST(SweepRunner, JobCountDoesNotChangeResults) {
   write_json(a, spec, sequential);
   write_json(b, spec, parallel);
   EXPECT_EQ(a.str(), b.str());
+}
+
+// The benchmark's `learn` grid shape: UCB, subset, vanilla and random over
+// two seeds, UCB's rounds × |B| single-block rounds making it the critical
+// job.
+SweepSpec learn_shaped_spec(std::size_t n) {
+  SweepSpec spec;
+  spec.name = "learn-shaped";
+  spec.algorithms = {core::Algorithm::PerigeeUcb,
+                     core::Algorithm::PerigeeSubset,
+                     core::Algorithm::PerigeeVanilla, core::Algorithm::Random};
+  spec.nodes = {n};
+  spec.rounds = {2};
+  spec.base.blocks_per_round = 10;
+  spec.base.seed = 7;
+  spec.seeds = 2;
+  return spec;
+}
+
+TEST(JobOrder, CriticalJobsFirstAndAPermutationPerShard) {
+  const SweepSpec spec = learn_shaped_spec(1000);
+  const auto cells = expand_grid(spec);
+  const auto seeds = static_cast<std::size_t>(spec.seeds);
+  const std::vector<std::size_t> order = job_order(cells, seeds);
+  ASSERT_EQ(order.size(), cells.size() * seeds);
+  // Both UCB jobs (cell 0) lead, in seed order.
+  EXPECT_EQ(order[0], 0u);
+  EXPECT_EQ(order[1], 1u);
+  // Subset and vanilla tie on cost and keep grid order; random runs no
+  // selector and goes last.
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(job_order(cells, seeds), order);  // deterministic
+
+  for (const std::size_t shards : {1u, 2u, 3u}) {
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      std::vector<std::size_t> claimed;
+      for (const std::size_t j : order) {
+        if (j % shards == shard) claimed.push_back(j);
+      }
+      std::vector<std::size_t> expect;
+      for (std::size_t j = 0; j < order.size(); ++j) {
+        if (j % shards == shard) expect.push_back(j);
+      }
+      std::sort(claimed.begin(), claimed.end());
+      EXPECT_EQ(claimed, expect) << shard << "/" << shards;
+    }
+  }
+}
+
+TEST(JobOrder, CostOrderOverridesGridOrder) {
+  // UCB declared last still comes first; static cells without churn tie at
+  // zero and keep grid order.
+  SweepSpec spec = learn_shaped_spec(100);
+  spec.algorithms = {core::Algorithm::Random, core::Algorithm::Ideal,
+                     core::Algorithm::PerigeeSubset,
+                     core::Algorithm::PerigeeUcb};
+  spec.seeds = 1;
+  const auto order =
+      job_order(expand_grid(spec), static_cast<std::size_t>(spec.seeds));
+  EXPECT_EQ(order, (std::vector<std::size_t>{3, 2, 0, 1}));
+}
+
+TEST(SweepRunner, ClaimOrderKeepsBytesAcrossWorkerCounts) {
+  const SweepSpec spec = learn_shaped_spec(60);
+  std::ostringstream one, four;
+  write_json(one, spec, SweepRunner(1).run(spec));
+  write_json(four, spec, SweepRunner(4).run(spec));
+  EXPECT_EQ(one.str(), four.str());
 }
 
 TEST(SweepRunner, MultiSeedMatchesCoreApi) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -69,6 +71,37 @@ TEST(Percentile, MatchesNaiveOnRandomData) {
       const double expect =
           sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo);
       EXPECT_NEAR(percentile(v, q), expect, 1e-9);
+    }
+  }
+}
+
+TEST(Percentile, InPlaceMatchesSortedCopyBitForBit) {
+  // Subset's merged rows hold +inf for blocks no kept neighbor delivered,
+  // so each size runs with no, some and only +inf entries.
+  Rng rng(321);
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 100u}) {
+    for (const double inf_share : {0.0, 0.3, 1.0}) {
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<double> v(n);
+        for (double& x : v) {
+          x = rng.uniform() < inf_share
+                  ? kInf
+                  : 10.0 * static_cast<double>(rng.uniform_index(8)) +
+                        (trial % 2 == 0 ? rng.uniform(0, 1) : 0.0);
+        }
+        for (const double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+          std::vector<double> buffer = v;
+          const double expect = percentile(v, q);
+          const double got = percentile_in_place(buffer, q);
+          EXPECT_EQ(std::memcmp(&got, &expect, sizeof got), 0)
+              << "n " << n << " q " << q << ": " << got << " vs " << expect;
+          // Only permuted: the same multiset remains.
+          std::sort(buffer.begin(), buffer.end());
+          std::vector<double> sorted = v;
+          std::sort(sorted.begin(), sorted.end());
+          EXPECT_EQ(buffer, sorted);
+        }
+      }
     }
   }
 }
