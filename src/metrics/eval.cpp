@@ -33,12 +33,51 @@ double coverage_time_sorted(
   return util::kInf;
 }
 
-// Shared accumulation: given (arrival, hash power) pairs, the earliest time
-// at which cumulative power reaches coverage * total_power.
-double coverage_time(std::vector<std::pair<double, double>>& by_arrival,
-                     double total_power, double coverage) {
-  std::sort(by_arrival.begin(), by_arrival.end());
-  return coverage_time_sorted(by_arrival, total_power, coverage);
+// The one λ body of both sparse engines. Hash powers (and their sum,
+// accumulated in NodeId order exactly as lambda_for_broadcast does) are batch
+// constants, extracted once. `run_engine(arena, sources, sink)` relaxes each
+// source once on its engine; the sink radix-sorts that source's
+// (arrival, power) pairs once in its lane's buffers and reads every coverage
+// from them.
+template <typename Scratch, typename RunEngine>
+std::vector<std::vector<double>> eval_sources(
+    const net::CsrTopology& csr, const net::Network& network,
+    const std::vector<double>& coverages, Scratch* scratch,
+    const RunEngine& run_engine) {
+  PERIGEE_ASSERT(csr.size() == network.size());
+  PERIGEE_ASSERT(!coverages.empty());
+  Scratch local_scratch;
+  Scratch& arena = scratch != nullptr ? *scratch : local_scratch;
+  const std::size_t n = network.size();
+  std::vector<double> powers(n);
+  double total = 0;
+  for (net::NodeId v = 0; v < n; ++v) {
+    powers[v] = network.profile(v).hash_power;
+    total += powers[v];
+  }
+  std::vector<net::NodeId> sources(n);
+  std::iota(sources.begin(), sources.end(), net::NodeId{0});
+
+  std::vector<std::vector<double>> lambda(coverages.size(),
+                                          std::vector<double>(n));
+  run_engine(arena, sources, [&](std::size_t lane, std::size_t s,
+                                 std::span<const double> arrival) {
+    auto& buffers = arena.lane(lane);
+    auto& by_arrival = buffers.by_arrival;
+    by_arrival.resize(n);
+    const double* arr = arrival.data();
+    const double* pow = powers.data();
+    for (std::size_t v = 0; v < n; ++v) {
+      by_arrival[v] = {arr[v], pow[v]};
+    }
+    // Radix replaces std::sort but yields the identical sequence, so λ
+    // stays bit-equal to lambda_for_broadcast on the same arrival set.
+    util::radix_sort_arrival_pairs(by_arrival, buffers.sort_scratch);
+    for (std::size_t k = 0; k < coverages.size(); ++k) {
+      lambda[k][s] = coverage_time_sorted(by_arrival, total, coverages[k]);
+    }
+  });
+  return lambda;
 }
 
 }  // namespace
@@ -54,7 +93,8 @@ double lambda_for_broadcast(const sim::BroadcastResult& result,
     total += power;
     by_arrival.emplace_back(result.arrival[v], power);
   }
-  return coverage_time(by_arrival, total, coverage);
+  std::sort(by_arrival.begin(), by_arrival.end());
+  return coverage_time_sorted(by_arrival, total, coverage);
 }
 
 std::vector<double> eval_all_sources(const net::Topology& topology,
@@ -69,43 +109,21 @@ std::vector<double> eval_all_sources(const net::CsrTopology& csr,
                                      double coverage,
                                      sim::MultiSourceScratch* scratch,
                                      runner::ThreadPool* pool) {
-  PERIGEE_ASSERT(csr.size() == network.size());
-  const std::size_t n = network.size();
-  std::vector<double> lambda(n);
-  // Hash powers (and their sum, accumulated in NodeId order exactly as
-  // lambda_for_broadcast does) are batch constants: extract them once
-  // instead of walking the profiles per source.
-  std::vector<double> powers(n);
-  double total = 0;
-  for (net::NodeId v = 0; v < n; ++v) {
-    powers[v] = network.profile(v).hash_power;
-    total += powers[v];
-  }
-  std::vector<net::NodeId> sources(n);
-  std::iota(sources.begin(), sources.end(), net::NodeId{0});
+  return std::move(
+      eval_all_sources_multi(csr, network, {coverage}, scratch, pool).front());
+}
 
-  sim::MultiSourceScratch local_scratch;
-  sim::MultiSourceScratch& arena = scratch != nullptr ? *scratch
-                                                      : local_scratch;
-  sim::for_each_source_broadcast(
-      csr, sources, arena,
-      [&](std::size_t lane, std::size_t s, std::span<const double> arrival,
-          std::span<const double> /*ready*/) {
-        auto& buffers = arena.lane(lane);
-        auto& by_arrival = buffers.by_arrival;
-        by_arrival.resize(n);
-        const double* arr = arrival.data();
-        const double* pow = powers.data();
-        for (std::size_t v = 0; v < n; ++v) {
-          by_arrival[v] = {arr[v], pow[v]};
-        }
-        // Radix replaces std::sort but yields the identical sequence, so λ
-        // stays bit-equal to lambda_for_broadcast on the same arrival set.
-        util::radix_sort_arrival_pairs(by_arrival, buffers.sort_scratch);
-        lambda[s] = coverage_time_sorted(by_arrival, total, coverage);
-      },
-      pool, /*need_ready=*/false);
-  return lambda;
+std::vector<std::vector<double>> eval_all_sources_multi(
+    const net::CsrTopology& csr, const net::Network& network,
+    const std::vector<double>& coverages, sim::MultiSourceScratch* scratch,
+    runner::ThreadPool* pool) {
+  return eval_sources(csr, network, coverages, scratch,
+                      [&](sim::MultiSourceScratch& arena,
+                          std::span<const net::NodeId> sources,
+                          const sim::SourceSink& sink) {
+                        sim::for_each_source_broadcast(csr, sources, arena,
+                                                       sink, pool);
+                      });
 }
 
 std::vector<double> eval_all_sources_egress(const net::CsrTopology& csr,
@@ -115,39 +133,23 @@ std::vector<double> eval_all_sources_egress(const net::CsrTopology& csr,
                                             double coverage,
                                             sim::EgressScratch* scratch,
                                             runner::ThreadPool* pool) {
-  PERIGEE_ASSERT(csr.size() == network.size());
-  const std::size_t n = network.size();
-  std::vector<double> lambda(n);
-  std::vector<double> powers(n);
-  double total = 0;
-  for (net::NodeId v = 0; v < n; ++v) {
-    powers[v] = network.profile(v).hash_power;
-    total += powers[v];
-  }
-  std::vector<net::NodeId> sources(n);
-  std::iota(sources.begin(), sources.end(), net::NodeId{0});
+  return std::move(eval_all_sources_egress_multi(csr, network, config, plan,
+                                                 {coverage}, scratch, pool)
+                       .front());
+}
 
-  sim::EgressScratch local_scratch;
-  sim::EgressScratch& arena = scratch != nullptr ? *scratch : local_scratch;
-  // Same accumulation as the delay-only overload, lane buffers and radix
-  // sort included — only the engine behind the arrival stripes differs.
-  sim::for_each_source_broadcast_egress(
-      csr, config, plan, sources, arena,
-      [&](std::size_t lane, std::size_t s, std::span<const double> arrival,
-          std::span<const double> /*ready*/) {
-        auto& buffers = arena.lane(lane);
-        auto& by_arrival = buffers.by_arrival;
-        by_arrival.resize(n);
-        const double* arr = arrival.data();
-        const double* pow = powers.data();
-        for (std::size_t v = 0; v < n; ++v) {
-          by_arrival[v] = {arr[v], pow[v]};
-        }
-        util::radix_sort_arrival_pairs(by_arrival, buffers.sort_scratch);
-        lambda[s] = coverage_time_sorted(by_arrival, total, coverage);
-      },
-      pool, /*need_ready=*/false);
-  return lambda;
+std::vector<std::vector<double>> eval_all_sources_egress_multi(
+    const net::CsrTopology& csr, const net::Network& network,
+    const sim::EgressConfig& config, const sim::EgressPlan& plan,
+    const std::vector<double>& coverages, sim::EgressScratch* scratch,
+    runner::ThreadPool* pool) {
+  return eval_sources(csr, network, coverages, scratch,
+                      [&](sim::EgressScratch& arena,
+                          std::span<const net::NodeId> sources,
+                          const sim::SourceSink& sink) {
+                        sim::for_each_source_broadcast_egress(
+                            csr, config, plan, sources, arena, sink, pool);
+                      });
 }
 
 std::vector<double> eval_ideal(const net::Network& network, double coverage,
@@ -227,10 +229,10 @@ std::vector<std::vector<double>> eval_ideal_multi(
       total += power;
       by_arrival.emplace_back(arrival[u], power);
     }
-    // coverage_time sorts in place; subsequent calls re-sort a sorted
-    // vector, so the Dijkstra pass above stays the only expensive step.
+    // One sort per source; every coverage reads the same sorted pairs.
+    std::sort(by_arrival.begin(), by_arrival.end());
     for (std::size_t k = 0; k < coverages.size(); ++k) {
-      lambda[k][src] = coverage_time(by_arrival, total, coverages[k]);
+      lambda[k][src] = coverage_time_sorted(by_arrival, total, coverages[k]);
     }
   }
   return lambda;

@@ -30,38 +30,45 @@ namespace perigee::metrics {
 double lambda_for_broadcast(const sim::BroadcastResult& result,
                             const net::Network& network, double coverage);
 
-/// λv for every source v (unsorted, index == NodeId). Compiles one
-/// `net::CsrTopology` and runs all n sources through the batched
-/// multi-source engine (sim/batch.hpp), so the per-source cost is pure
-/// engine work. Standalone convenience — callers that already hold a
-/// snapshot (the experiment harness, the round loop's checkpoints) use the
-/// overload below and skip the compile.
-std::vector<double> eval_all_sources(const net::Topology& topology,
-                                     const net::Network& network,
-                                     double coverage = 0.90);
+/// λv for every source v (unsorted, index == NodeId), one vector per entry
+/// of `coverages` in input order. Each source is relaxed once on the batched
+/// multi-source engine (sim/batch.hpp) over the caller's snapshot of
+/// `network`, its arrivals sorted once, and every coverage read from them.
+/// `scratch` (optional) reuses the caller's engine arena; `pool` (optional)
+/// fans sources across workers — output is byte-identical at any count.
+std::vector<std::vector<double>> eval_all_sources_multi(
+    const net::CsrTopology& csr, const net::Network& network,
+    const std::vector<double>& coverages,
+    sim::MultiSourceScratch* scratch = nullptr,
+    runner::ThreadPool* pool = nullptr);
 
-/// Batched evaluation over a snapshot the caller already compiled — the
-/// batch entry point the compile and scratch acquisition are hoisted to.
-/// `network` supplies the hash powers for the coverage accumulation and
-/// must be the one the snapshot was built over. `scratch` (optional) reuses
-/// the caller's engine arena across evaluations; `pool` (optional) fans
-/// sources across workers — λ output is byte-identical at any worker count.
+/// The same evaluation on the queued egress engine (sim/egress.hpp), so λ
+/// reflects serialization + queue wait; with `config.unlimited_rate` it is
+/// byte-identical to the delay-only form. `plan` must be built from
+/// `network`'s current profiles (`sim::EgressPlanCache`).
+std::vector<std::vector<double>> eval_all_sources_egress_multi(
+    const net::CsrTopology& csr, const net::Network& network,
+    const sim::EgressConfig& config, const sim::EgressPlan& plan,
+    const std::vector<double>& coverages,
+    sim::EgressScratch* scratch = nullptr,
+    runner::ThreadPool* pool = nullptr);
+
+/// Single-coverage forms of the two above (one-element coverage list).
 std::vector<double> eval_all_sources(
     const net::CsrTopology& csr, const net::Network& network,
     double coverage = 0.90, sim::MultiSourceScratch* scratch = nullptr,
     runner::ThreadPool* pool = nullptr);
-
-/// Batched λ evaluation under the queued-transmission model: identical
-/// coverage accumulation, but every broadcast runs through the egress
-/// engine (sim/egress.hpp) so λ reflects serialization + queue wait. With
-/// `config.unlimited_rate` the result is byte-identical to the delay-only
-/// overload above — the equivalence the diff harness enforces. `plan` must
-/// be built from `network`'s current profiles (`sim::EgressPlanCache`).
 std::vector<double> eval_all_sources_egress(
     const net::CsrTopology& csr, const net::Network& network,
     const sim::EgressConfig& config, const sim::EgressPlan& plan,
     double coverage = 0.90, sim::EgressScratch* scratch = nullptr,
     runner::ThreadPool* pool = nullptr);
+
+/// Standalone convenience: compiles `topology` into a `net::CsrTopology`
+/// and evaluates one coverage on the delay-only engine.
+std::vector<double> eval_all_sources(const net::Topology& topology,
+                                     const net::Network& network,
+                                     double coverage = 0.90);
 
 /// λv on the fully-connected topology ("ideal" in Figure 3), computed as a
 /// dense per-source Dijkstra without materializing an O(n^2) Topology. When
@@ -72,9 +79,9 @@ std::vector<double> eval_ideal(const net::Network& network,
                                double coverage = 0.90,
                                const net::Topology* infra = nullptr);
 
-/// Same bound evaluated at several coverages from a single Dijkstra pass per
-/// source (the pass dominates; extra coverages are nearly free). Returns one
-/// λ vector per coverage, in input order.
+/// Same bound evaluated at several coverages from a single Dijkstra pass and
+/// a single sort per source (the pass dominates; extra coverages are nearly
+/// free). Returns one λ vector per coverage, in input order.
 std::vector<std::vector<double>> eval_ideal_multi(
     const net::Network& network, const std::vector<double>& coverages,
     const net::Topology* infra = nullptr);

@@ -88,8 +88,7 @@ std::size_t MultiSourceScratch::memory_bytes() const {
              lane->occupied.capacity() * sizeof(std::uint64_t) +
              lane->settled.capacity() +
              lane->heap.capacity() * sizeof(HeapItem) +
-             (lane->arrival.capacity() + lane->ready.capacity()) *
-                 sizeof(double) +
+             lane->arrival.capacity() * sizeof(double) +
              (lane->by_arrival.capacity() + lane->sort_scratch.capacity()) *
                  sizeof(std::pair<double, double>);
     for (const auto& slot : lane->ring) {
@@ -124,23 +123,16 @@ void for_each_source_broadcast(const net::CsrTopology& csr,
                                std::span<const net::NodeId> sources,
                                MultiSourceScratch& scratch,
                                const SourceSink& sink,
-                               runner::ThreadPool* pool, bool need_ready) {
+                               runner::ThreadPool* pool) {
   const std::size_t n = csr.size();
   const RelaxPlan plan = make_relax_plan(csr);
   dispatch(sources.size(), scratch, pool,
            [&](std::size_t lane_idx, std::size_t s) {
              MultiSourceScratch::Lane& lane = scratch.lane(lane_idx);
              lane.arrival.resize(n);
-             double* ready = nullptr;
-             if (need_ready) {
-               lane.ready.resize(n);
-               ready = lane.ready.data();
-             }
              relax_source(csr, plan, sources[s], lane, lane.arrival.data(),
-                          ready);
-             sink(lane_idx, s, lane.arrival,
-                  need_ready ? std::span<const double>(lane.ready)
-                             : std::span<const double>());
+                          /*ready=*/nullptr);
+             sink(lane_idx, s, lane.arrival);
            });
 }
 

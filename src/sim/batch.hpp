@@ -143,9 +143,8 @@ struct alignas(64) MultiSourceScratch::Lane {
   std::vector<std::uint8_t> settled;    ///< per node
   std::vector<HeapItem> heap;           ///< heap-fallback storage
   std::vector<double> arrival;          ///< streaming-form stripe
-  std::vector<double> ready;            ///< streaming-form stripe
-  /// (arrival, hash power) pairs for the λ coverage accumulation; lives here
-  /// so metrics::eval_all_sources is allocation-free per source too.
+  /// (arrival, hash power) pairs for the λ coverage reads; lives here so the
+  /// λ evaluation (metrics/eval.cpp) is allocation-free per source too.
   std::vector<std::pair<double, double>> by_arrival;
   /// Ping-pong buffer for the radix sort of `by_arrival`.
   std::vector<std::pair<double, double>> sort_scratch;
@@ -165,20 +164,17 @@ void simulate_broadcast_batch(const net::CsrTopology& csr,
 
 /// Streaming form for batches whose per-source outputs reduce immediately
 /// (the λ metric: n sources would otherwise materialize O(n²) doubles).
-/// Each source's stripes live in its lane and are valid only during the
-/// `sink` call; `sink(lane, s, arrival, ready)` may run concurrently from
-/// pool workers for distinct `s` and must write only `s`-indexed slots to
-/// preserve the determinism contract. With `need_ready` false the ready
-/// fill pass is skipped and the sink receives an empty ready span — the λ
-/// evaluation only consumes arrival.
-using SourceSink = std::function<void(
-    std::size_t lane, std::size_t s, std::span<const double> arrival,
-    std::span<const double> ready)>;
+/// Each source's arrival stripe lives in its lane and is valid only during
+/// the `sink` call; ready times are not filled, since λ reads arrivals only.
+/// `sink(lane, s, arrival)` may run concurrently from pool workers for
+/// distinct `s` and must write only `s`-indexed slots to preserve the
+/// determinism contract.
+using SourceSink = std::function<void(std::size_t lane, std::size_t s,
+                                      std::span<const double> arrival)>;
 void for_each_source_broadcast(const net::CsrTopology& csr,
                                std::span<const net::NodeId> sources,
                                MultiSourceScratch& scratch,
                                const SourceSink& sink,
-                               runner::ThreadPool* pool = nullptr,
-                               bool need_ready = true);
+                               runner::ThreadPool* pool = nullptr);
 
 }  // namespace perigee::sim

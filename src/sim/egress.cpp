@@ -285,7 +285,7 @@ std::size_t EgressScratch::memory_bytes() const {
              lane->settled.capacity() + lane->segment.capacity() +
              lane->edge.capacity() * sizeof(std::uint32_t) +
              (lane->tokens.capacity() + lane->refill_time.capacity() +
-              lane->arrival.capacity() + lane->ready.capacity()) *
+              lane->arrival.capacity()) *
                  sizeof(double) +
              (lane->by_arrival.capacity() + lane->sort_scratch.capacity()) *
                  sizeof(std::pair<double, double>);
@@ -336,23 +336,15 @@ void for_each_source_broadcast_egress(const net::CsrTopology& csr,
                                       std::span<const net::NodeId> sources,
                                       EgressScratch& scratch,
                                       const SourceSink& sink,
-                                      runner::ThreadPool* pool,
-                                      bool need_ready) {
+                                      runner::ThreadPool* pool) {
   const std::size_t n = csr.size();
   dispatch(sources.size(), scratch, pool,
            [&](std::size_t lane_idx, std::size_t s) {
              EgressScratch::Lane& lane = scratch.lane(lane_idx);
              lane.arrival.resize(n);
-             double* ready = nullptr;
-             if (need_ready) {
-               lane.ready.resize(n);
-               ready = lane.ready.data();
-             }
              solve_egress(csr, config, plan, lane, sources[s],
-                          lane.arrival.data(), ready);
-             sink(lane_idx, s, lane.arrival,
-                  need_ready ? std::span<const double>(lane.ready)
-                             : std::span<const double>());
+                          lane.arrival.data(), /*ready=*/nullptr);
+             sink(lane_idx, s, lane.arrival);
            });
 }
 

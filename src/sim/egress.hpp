@@ -181,8 +181,8 @@ struct EgressEvent {
 
 /// Per-worker scratch: the event heap, arrival state, per-sender scheduler
 /// state, and the same caller-usable λ sort buffers `MultiSourceScratch`
-/// lanes carry (so `metrics::eval_all_sources` stays allocation-free over
-/// this engine too).
+/// lanes carry (so the λ evaluation stays allocation-free over this engine
+/// too).
 struct EgressScratch::Lane {
   std::vector<EgressEvent> events;      ///< 4-ary event heap storage
   std::vector<std::uint8_t> settled;    ///< per-node "holds the block" flag
@@ -191,8 +191,7 @@ struct EgressScratch::Lane {
   std::vector<double> tokens;           ///< per-sender bucket fill, bytes
   std::vector<double> refill_time;      ///< per-sender last bucket refill, ms
   std::vector<double> arrival;          ///< streaming-form stripe
-  std::vector<double> ready;            ///< streaming-form stripe
-  /// (arrival, hash power) pairs for the λ coverage accumulation.
+  /// (arrival, hash power) pairs for the λ coverage reads.
   std::vector<std::pair<double, double>> by_arrival;
   /// Ping-pong buffer for the radix sort of `by_arrival`.
   std::vector<std::pair<double, double>> sort_scratch;
@@ -219,17 +218,15 @@ void simulate_broadcast_egress_batch(const net::CsrTopology& csr,
                                      runner::ThreadPool* pool = nullptr);
 
 /// Streaming form mirroring `for_each_source_broadcast` (λ evaluation: n
-/// sources must not materialize O(n²) doubles). `sink(lane, s, arrival,
-/// ready)` may run concurrently for distinct `s` and must write only
-/// s-indexed slots; with `need_ready` false the ready fill is skipped and
-/// the sink receives an empty ready span.
+/// sources must not materialize O(n²) doubles). Only arrivals are filled;
+/// `sink(lane, s, arrival)` may run concurrently for distinct `s` and must
+/// write only s-indexed slots.
 void for_each_source_broadcast_egress(const net::CsrTopology& csr,
                                       const EgressConfig& config,
                                       const EgressPlan& plan,
                                       std::span<const net::NodeId> sources,
                                       EgressScratch& scratch,
                                       const SourceSink& sink,
-                                      runner::ThreadPool* pool = nullptr,
-                                      bool need_ready = true);
+                                      runner::ThreadPool* pool = nullptr);
 
 }  // namespace perigee::sim

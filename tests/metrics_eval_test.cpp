@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "net/csr.hpp"
+#include "runner/thread_pool.hpp"
+#include "sim/batch.hpp"
+#include "sim/egress.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -79,6 +85,152 @@ TEST(EvalAllSources, MatchesPerSourceBroadcast) {
   for (net::NodeId v : {net::NodeId{0}, net::NodeId{30}, net::NodeId{59}}) {
     const auto result = sim::simulate_broadcast(t, network, v);
     EXPECT_DOUBLE_EQ(lambda[v], lambda_for_broadcast(result, network, 0.9));
+  }
+}
+
+// Bitwise, not approximate: the evaluator promises the reference's exact
+// doubles, +inf tails included.
+::testing::AssertionResult bytes_equal(const std::vector<double>& a,
+                                       const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "first mismatch at index " << i << ": " << a[i] << " vs "
+             << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct Overlay {
+  net::Network network;
+  net::Topology topology;
+};
+
+// n=60 with uniform hash power and heterogeneous bandwidth. Without
+// withholding: a random overlay. With it: nodes 0..49 on a random overlay,
+// 50..59 on a chain hanging off node 49, and node 49 plus every fifth node
+// withholding — no source in 0..48 reaches the chain, so its λ at 90% is
+// +inf while its λ at 50% stays finite.
+Overlay make_overlay(bool withholding) {
+  net::NetworkOptions options;
+  options.n = 60;
+  options.seed = 31;
+  options.heterogeneous_bandwidth = true;
+  net::Network network = net::Network::build(options);
+  auto& profiles = network.mutable_profiles();
+  for (auto& profile : profiles) profile.hash_power = 1.0 / 60.0;
+  net::Topology topology(60);
+  util::Rng rng(31);
+  if (!withholding) {
+    topo::build_random(topology, rng);
+    return {std::move(network), std::move(topology)};
+  }
+  for (net::NodeId u = 0; u < 50; ++u) {
+    for (int k = 0; k < 4; ++k) {
+      const auto v = static_cast<net::NodeId>(rng.uniform_index(50));
+      if (v != u) topology.connect(u, v);
+    }
+  }
+  for (net::NodeId v = 50; v < 60; ++v) topology.connect(v - 1, v);
+  for (net::NodeId v = 0; v < 50; v += 5) profiles[v].forwards = false;
+  profiles[49].forwards = false;
+  return {std::move(network), std::move(topology)};
+}
+
+const std::vector<std::vector<double>> kCoverageLists = {
+    {0.9, 0.5}, {0.5, 0.9}, {1.0}, {0.9, 0.5, 0.9}};
+
+// One multi-coverage call per list, inline and on a 3-worker pool: vector k
+// must equal the single-coverage call at coverages[k] and the per-source
+// reference λ over `broadcasts`, byte for byte.
+template <typename Multi, typename Single>
+void expect_multi_matches_reference(
+    const net::Network& network,
+    const std::vector<sim::BroadcastResult>& broadcasts, const Multi& multi,
+    const Single& single) {
+  runner::ThreadPool pool(3);
+  for (const auto& coverages : kCoverageLists) {
+    const auto inline_eval = multi(coverages, nullptr);
+    const auto pooled_eval = multi(coverages, &pool);
+    ASSERT_EQ(inline_eval.size(), coverages.size());
+    ASSERT_EQ(pooled_eval.size(), coverages.size());
+    for (std::size_t k = 0; k < coverages.size(); ++k) {
+      std::vector<double> reference;
+      for (const auto& result : broadcasts) {
+        reference.push_back(
+            lambda_for_broadcast(result, network, coverages[k]));
+      }
+      EXPECT_TRUE(bytes_equal(inline_eval[k], reference))
+          << "coverage " << coverages[k];
+      EXPECT_TRUE(bytes_equal(pooled_eval[k], reference))
+          << "coverage " << coverages[k];
+      EXPECT_TRUE(bytes_equal(single(coverages[k]), reference))
+          << "coverage " << coverages[k];
+    }
+  }
+}
+
+TEST(EvalAllSourcesMulti, WithholdingOverlayHasInfiniteTails) {
+  const Overlay o = make_overlay(/*withholding=*/true);
+  const auto csr = net::CsrTopology::build(o.topology, o.network);
+  const auto lambda = eval_all_sources(csr, o.network, 0.9);
+  EXPECT_TRUE(std::any_of(lambda.begin(), lambda.end(),
+                          [](double l) { return std::isinf(l); }));
+  EXPECT_TRUE(std::any_of(lambda.begin(), lambda.end(),
+                          [](double l) { return std::isfinite(l); }));
+}
+
+TEST(EvalAllSourcesMulti, DelayOnlyMatchesSingleAndReference) {
+  for (const bool withholding : {false, true}) {
+    SCOPED_TRACE(withholding ? "withholding" : "random");
+    const Overlay o = make_overlay(withholding);
+    const auto csr = net::CsrTopology::build(o.topology, o.network);
+    std::vector<sim::BroadcastResult> broadcasts;
+    for (net::NodeId v = 0; v < o.network.size(); ++v) {
+      broadcasts.push_back(sim::simulate_broadcast(csr, v));
+    }
+    sim::MultiSourceScratch scratch;
+    expect_multi_matches_reference(
+        o.network, broadcasts,
+        [&](const std::vector<double>& coverages, runner::ThreadPool* pool) {
+          return eval_all_sources_multi(csr, o.network, coverages, &scratch,
+                                        pool);
+        },
+        [&](double coverage) {
+          return eval_all_sources(csr, o.network, coverage);
+        });
+  }
+}
+
+TEST(EvalAllSourcesMulti, EgressMatchesSingleAndReference) {
+  for (const bool withholding : {false, true}) {
+    SCOPED_TRACE(withholding ? "withholding" : "random");
+    const Overlay o = make_overlay(withholding);
+    const auto csr = net::CsrTopology::build(o.topology, o.network);
+    sim::EgressConfig config;
+    config.block_bytes = 200'000.0;
+    const auto plan = sim::EgressPlan::build(o.network, config);
+    sim::EgressScratch scratch;
+    std::vector<sim::BroadcastResult> broadcasts(o.network.size());
+    for (net::NodeId v = 0; v < o.network.size(); ++v) {
+      sim::simulate_broadcast_egress(csr, config, plan, v, scratch,
+                                     broadcasts[v]);
+    }
+    expect_multi_matches_reference(
+        o.network, broadcasts,
+        [&](const std::vector<double>& coverages, runner::ThreadPool* pool) {
+          return eval_all_sources_egress_multi(csr, o.network, config, plan,
+                                               coverages, &scratch, pool);
+        },
+        [&](double coverage) {
+          return eval_all_sources_egress(csr, o.network, config, plan,
+                                         coverage);
+        });
   }
 }
 

@@ -2,11 +2,12 @@
 // serialization times on a hand-built star, strict priority-band drain
 // order (controls before payloads, reversible via band_map), token-bucket
 // burst absorption, the ∞-rate ≡ delay-only parity corner, zero-rate
-// starvation safety, worker-count invariance under finite rates, and λ
-// consistency through metrics::eval_all_sources_egress. The cross-engine
-// byte-parity sweep over ~200 random topologies lives in
-// tests/sim_engine_diff_test.cpp; this file pins the arithmetic the model
-// documentation (docs/TRANSMISSION_MODEL.md) promises.
+// starvation safety, worker-count invariance under finite rates, and one
+// egress pass per source when a queued cell reads λ at two coverages. The
+// cross-engine byte-parity sweep over ~200 random topologies lives in
+// tests/sim_engine_diff_test.cpp and λ's byte parity with the per-source
+// reference in tests/metrics_eval_test.cpp; this file pins the arithmetic
+// the model documentation (docs/TRANSMISSION_MODEL.md) promises.
 #include "sim/egress.hpp"
 
 #include <gtest/gtest.h>
@@ -16,8 +17,9 @@
 #include <cstring>
 #include <vector>
 
-#include "metrics/eval.hpp"
+#include "core/experiment.hpp"
 #include "net/csr.hpp"
+#include "obs/metrics.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/broadcast.hpp"
 #include "topo/builders.hpp"
@@ -248,38 +250,24 @@ TEST(Egress, BatchIsWorkerCountInvariantUnderFiniteRates) {
   }
 }
 
-TEST(Egress, EvalAllSourcesEgressMatchesPerSourceLambda) {
-  net::NetworkOptions options;
-  options.n = 60;
-  options.seed = 13;
-  options.heterogeneous_bandwidth = true;
-  const auto network = net::Network::build(options);
-  net::Topology topology(options.n);
-  util::Rng rng(13);
-  topo::build_random(topology, rng);
-  const auto csr = net::CsrTopology::build(topology, network);
-
-  EgressConfig config;
-  config.block_bytes = 200'000.0;
-  const EgressPlan plan = EgressPlan::build(network, config);
-
-  std::vector<double> oracle(options.n);
-  EgressScratch scratch;
-  BroadcastResult result;
-  for (net::NodeId v = 0; v < options.n; ++v) {
-    simulate_broadcast_egress(csr, config, plan, v, scratch, result);
-    oracle[v] = metrics::lambda_for_broadcast(result, network, 0.90);
-  }
-
-  const auto inline_eval =
-      metrics::eval_all_sources_egress(csr, network, config, plan, 0.90);
-  EXPECT_TRUE(bytes_equal(inline_eval, oracle));
-
-  runner::ThreadPool pool(3);
-  const auto pooled_eval = metrics::eval_all_sources_egress(
-      csr, network, config, plan, 0.90, &scratch, &pool);
-  EXPECT_TRUE(bytes_equal(pooled_eval, oracle));
+#ifdef PERIGEE_TELEMETRY
+// A static queued cell reads λ at both coverages (config.coverage and 0.50)
+// from one egress relaxation per source: n solves, not one pass per coverage.
+TEST(Egress, StaticQueuedCellRelaxesEachSourceOnce) {
+  core::ExperimentConfig config;
+  config.net.n = 60;
+  config.algorithm = core::Algorithm::Random;
+  config.seed = 19;
+  config.scenario.transmission.model = scenario::TransmissionModel::Queue;
+  obs::Registry& registry = obs::Registry::instance();
+  const std::uint64_t before = registry.scrape().counter("egress.sources");
+  const core::ExperimentResult result = core::run_experiment(config);
+  const std::uint64_t after = registry.scrape().counter("egress.sources");
+  EXPECT_EQ(after - before, 60u);
+  EXPECT_EQ(result.lambda.size(), 60u);
+  EXPECT_EQ(result.lambda50.size(), 60u);
 }
+#endif
 
 TEST(Egress, PlanCacheRebuildsOnlyWhenProfilesChange) {
   net::NetworkOptions options;
