@@ -1,12 +1,13 @@
 // Engine micro-benchmarks (google-benchmark): per-block broadcast cost on
-// both engines (legacy Topology walk vs compiled CSR fast path), CSR compile
-// cost, message-level gossip cost, scoring costs, and the sampling
-// primitives. These bound the wall-clock of the figure benches: one Figure-3
-// curve is rounds x blocks broadcasts plus n subset-scorings per round.
+// both engines (legacy Topology walk vs the relaxation kernel over the
+// compiled CSR), CSR compile cost, message-level gossip cost, scoring costs,
+// and the sampling primitives. These bound the wall-clock of the figure
+// benches: one Figure-3 curve is rounds x blocks broadcasts plus n
+// subset-scorings per round.
 //
-// BM_Broadcast (legacy) vs BM_BroadcastCsr at Arg(1000) — the fig3a grid
-// size — is the before/after pair recorded in BENCH_broadcast.json; the
-// acceptance bar is >= 1.5x items_per_second.
+// BM_Broadcast (legacy) vs BM_RelaxInnerLoop at Arg(1000) — the fig3a grid
+// size — is the pair recorded in BENCH_broadcast.json as
+// relax_inner_speedup.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -54,31 +55,14 @@ void BM_Broadcast(benchmark::State& state) {
 }
 BENCHMARK(BM_Broadcast)->Arg(200)->Arg(1000)->Arg(4000);
 
-void BM_BroadcastCsr(benchmark::State& state) {
-  Fixture f(static_cast<std::size_t>(state.range(0)));
-  const net::CsrTopology csr =
-      net::CsrTopology::build(f.topology, *f.network);
-  sim::BroadcastScratch scratch;
-  sim::BroadcastResult result;
-  net::NodeId miner = 0;
-  for (auto _ : state) {
-    sim::simulate_broadcast(csr, miner, scratch, result);
-    benchmark::DoNotOptimize(result.arrival.data());
-    miner = (miner + 1) % static_cast<net::NodeId>(csr.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BroadcastCsr)->Arg(200)->Arg(1000)->Arg(4000);
-
 // The relaxation inner loop in isolation: one source through the batched
 // engine's settle-once bucket kernel (exact-grid bucket index, next-row
 // prefetch, branchless settle) over a prebuilt CSR — no λ accumulation, no
 // compile, no pool, so iterations price the hot loop and nothing else.
 // Recorded in BENCH_broadcast.json as relax_inner_speedup against the
-// legacy Topology walker (BM_Broadcast) and in BENCH_scale.json as
-// relax_kernel_speedup against the CSR heap (BM_BroadcastCsr) at the same
-// Arg; the before/after Release-mode delta of the micro-pass itself is
-// reported in ARCHITECTURE.md ("Release perf truth").
+// legacy Topology walker (BM_Broadcast) at the same Arg; the before/after
+// Release-mode delta of the micro-pass itself is reported in
+// ARCHITECTURE.md ("Release perf truth").
 void BM_RelaxInnerLoop(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr =
@@ -97,11 +81,12 @@ BENCHMARK(BM_RelaxInnerLoop)->Arg(200)->Arg(1000)->Arg(4000);
 
 // The queuing-engine pair recorded in BENCH_queuing.json. The egress DES
 // (sim/egress.hpp) runs twice: in its ∞-rate parity corner, where it
-// computes the exact BM_BroadcastCsr arrivals through the event loop — so
-// egress_unlimited_speedup (this / BM_BroadcastCsr items_per_second) prices
-// the pure DES overhead and the soft gate bars it at n=1000 — and under
-// finite profile rates with 200 KB blocks plus INV chatter, the congestion
-// grid's per-block workload (egress_queue_speedup, recorded alongside).
+// computes the exact BM_RelaxInnerLoop arrivals through the event loop — so
+// egress_unlimited_speedup (this / BM_RelaxInnerLoop items_per_second)
+// prices the DES against the delay-only engine the round loop ships, and
+// the soft gate bars it at n=1000 — and under finite profile rates with
+// 200 KB blocks plus INV chatter, the congestion grid's per-block workload
+// (egress_queue_speedup, recorded alongside).
 void BM_BroadcastEgressUnlimited(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr =
@@ -155,7 +140,7 @@ void BM_CsrBuild(benchmark::State& state) {
 BENCHMARK(BM_CsrBuild)->Arg(200)->Arg(1000)->Arg(4000);
 
 // Multi-source λ evaluation: n broadcasts batched over one CSR + scratch
-// (includes the compile; the pair below isolates the engines).
+// (includes the compile; BM_MultiSourceBatched below excludes it).
 void BM_EvalAllSources(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -167,32 +152,7 @@ void BM_EvalAllSources(benchmark::State& state) {
 }
 BENCHMARK(BM_EvalAllSources)->Arg(200)->Arg(1000)->Unit(benchmark::kMillisecond);
 
-// The before/after pair anchored in BENCH_multi_source.json: per-source CSR
-// loop (one 4-ary-heap Dijkstra + λ accumulation per source, shared compile
-// and scratch — the pre-batch implementation of eval_all_sources) vs the
-// batched multi-source engine at the same workload. The acceptance bar at
-// the fig3a grid size (n=1000) is >= 2x items_per_second.
-void BM_MultiSourcePerSourceCsr(benchmark::State& state) {
-  Fixture f(static_cast<std::size_t>(state.range(0)));
-  const net::CsrTopology csr = net::CsrTopology::build(f.topology, *f.network);
-  sim::BroadcastScratch scratch;
-  sim::BroadcastResult result;
-  std::vector<double> lambda(csr.size());
-  for (auto _ : state) {
-    for (net::NodeId v = 0; v < csr.size(); ++v) {
-      sim::simulate_broadcast(csr, v, scratch, result);
-      lambda[v] = metrics::lambda_for_broadcast(result, *f.network, 0.90);
-    }
-    benchmark::DoNotOptimize(lambda.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_MultiSourcePerSourceCsr)
-    ->Arg(200)
-    ->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
-
+// The all-sources λ eval over a prebuilt CSR and a reused scratch arena.
 void BM_MultiSourceBatched(benchmark::State& state) {
   Fixture f(static_cast<std::size_t>(state.range(0)));
   const net::CsrTopology csr = net::CsrTopology::build(f.topology, *f.network);
@@ -397,13 +357,11 @@ void selector_round(benchmark::State& state, core::Algorithm algorithm,
   const net::CsrTopology csr = net::CsrTopology::build(f.topology, *f.network);
   sim::ObservationTable obs;
   obs.begin_round(f.topology, blocks);
-  sim::BroadcastScratch scratch;
-  sim::BroadcastResult result;
   util::Rng miners(11);
   for (std::size_t b = 0; b < blocks; ++b) {
     const auto miner = static_cast<net::NodeId>(miners.uniform_index(n));
-    sim::simulate_broadcast(csr, miner, scratch, result);
-    obs.record_block(csr, result);
+    const sim::BroadcastResult result = sim::simulate_broadcast(csr, miner);
+    obs.record_block(csr, result.miner, result.ready);
   }
   auto selectors = core::make_selectors(n, algorithm);
   const net::Topology initial = f.topology;

@@ -1,11 +1,11 @@
 // Scale instrument behind BENCH_scale.json: one n = 10^5 (default) graph,
-// single-source broadcast timed through the two heap oracles (the legacy
-// Topology walker and the CSR heap) and the settle-once relaxation kernel
-// as a one-source simulate_broadcast_batch, plus the snapshot/scratch
-// footprints and the process peak RSS the soak test budgets against.
+// one source's broadcast timed through the reference Topology walker and
+// the settle-once relaxation kernel as a one-source
+// simulate_broadcast_batch, plus the snapshot/scratch footprints and the
+// process peak RSS the soak test budgets against.
 //
-// Byte parity is asserted inline (every engine's arrivals memcmp equal) so
-// a timing run can never silently anchor numbers from an engine that
+// Byte parity is asserted inline (the two engines' arrivals memcmp equal)
+// so a timing run can never silently anchor numbers from an engine that
 // stopped agreeing. Timings are medians of --reps runs per engine.
 //
 //   ./scale_broadcast --nodes 100000 --reps 5 --json scale.json
@@ -83,11 +83,6 @@ int run(int argc, char** argv) {
     walker = sim::simulate_broadcast(topology, network, src);
   });
 
-  sim::BroadcastScratch heap_scratch;
-  sim::BroadcastResult heap;
-  const double csr_heap_ms = time_ms(
-      reps, [&] { sim::simulate_broadcast(csr, src, heap_scratch, heap); });
-
   sim::MultiSourceScratch scratch;
   sim::MultiSourceResult kernel;
   const std::array<net::NodeId, 1> sources{src};
@@ -97,8 +92,7 @@ int run(int argc, char** argv) {
 
   // The determinism contract, enforced on the very run being anchored.
   const std::size_t bytes = n * sizeof(double);
-  if (std::memcmp(walker.arrival.data(), heap.arrival.data(), bytes) != 0 ||
-      std::memcmp(walker.arrival.data(), kernel.arrival_of(0).data(),
+  if (std::memcmp(walker.arrival.data(), kernel.arrival_of(0).data(),
                   bytes) != 0) {
     std::cerr << "FATAL: the engines lost byte parity at n=" << n << "\n";
     return 1;
@@ -109,7 +103,6 @@ int run(int argc, char** argv) {
 
   std::cout << "n=" << n << " src=" << src << " reps=" << reps << "\n"
             << "  topology heap       " << topology_ms << " ms\n"
-            << "  csr heap            " << csr_heap_ms << " ms\n"
             << "  relaxation kernel   " << kernel_ms << " ms\n"
             << "  csr snapshot        " << csr.memory_bytes() << " bytes\n"
             << "  kernel scratch      " << scratch.memory_bytes() << " bytes\n"
@@ -129,7 +122,6 @@ int run(int argc, char** argv) {
     w.field("seed", static_cast<std::int64_t>(seed));
     w.field("reps", static_cast<std::int64_t>(reps));
     w.field("topology_heap_ms", topology_ms);
-    w.field("csr_heap_ms", csr_heap_ms);
     w.field("kernel_ms", kernel_ms);
     w.field("csr_snapshot_bytes",
             static_cast<std::int64_t>(csr.memory_bytes()));

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the seven BENCH_*.json perf anchors from one build tree.
+"""Regenerate the six BENCH_*.json perf anchors from one build tree.
 
 Usage:
     python3 scripts/make_bench_anchors.py --build-dir build-o2 [--out-dir .]
@@ -47,27 +47,14 @@ NOTES = {
         "and the baseline sweep grid run on the parallel runner (--jobs 1 "
         "reference; curves are jobs-invariant)."),
     "broadcast": (
-        "Broadcast fast-path anchor: legacy Topology-walking engine vs the "
-        "compiled CSR engine (pre-resolved per-edge delta, 4-ary heap, "
-        "reusable scratch), plus CSR compile cost, the batched multi-source "
-        "eval, and the isolated relaxation inner loop (BM_RelaxInnerLoop: "
-        "fixed-point bucket keys, next-row prefetch, branchless settle). "
-        "broadcast_speedup is CSR/legacy items_per_second; the acceptance "
-        "bar at the fig3a grid size (n=1000) is >= 1.5x. relax_inner_speedup "
-        "is BM_RelaxInnerLoop/legacy at the same sizes (no bar; tracked for "
-        "the hot-loop micro-pass)."),
-    "multi_source": (
-        "Batched multi-source engine anchor: the per-source CSR loop "
-        "(4-ary-heap Dijkstra + lambda accumulation per source, shared "
-        "compile and scratch) vs the batched engine (monotone bucket queue, "
-        "SoA per-source stripes, deferred ready fill, radix-sorted lambda "
-        "accumulation) on the fig3a-size all-sources eval workload. "
-        "multi_source_speedup is batched/per-source items_per_second; the "
-        "acceptance bar at the fig3a grid size (n=1000) is >= 2x. Measured "
-        "single-threaded on a 1-core container; the engine additionally fans "
-        "sources across a runner::ThreadPool with byte-identical output, so "
-        "multi-core wall-clock scales further (see BM_BroadcastBatchRound "
-        "for the round-loop batch shape)."),
+        "Broadcast anchor: the legacy Topology-walking engine (the parity "
+        "oracle) vs the isolated relaxation inner loop (BM_RelaxInnerLoop: "
+        "a one-source simulate_broadcast_batch through the settle-once "
+        "bucket kernel), plus the CSR compile cost, the all-sources lambda "
+        "eval with and without the compile, and the round-shaped 100-block "
+        "batch. relax_inner_speedup is BM_RelaxInnerLoop/legacy "
+        "items_per_second; the soft gate bars regressions of it at the "
+        "fig3a grid size (n=1000)."),
     "incremental_csr": (
         "Incremental-CSR anchor: per-round topology refresh as a full "
         "flat-graph recompile vs the mutation-journal patch path "
@@ -84,35 +71,33 @@ NOTES = {
         "record the end-to-end |B|=100 adaptive round / sweep win, small by "
         "construction because one compile already amortizes over 100 blocks "
         "(PR2); |B|=1 (UCB) and churn-driven rounds are where the refresh "
-        "dominates. Measured single-threaded on a 1-core container."),
+        "dominates. Every pair runs single-threaded."),
     "queuing": (
         "Queuing-engine anchor for the egress transmission DES "
         "(sim/egress.hpp, docs/TRANSMISSION_MODEL.md). "
         "egress_unlimited_speedup is BM_BroadcastEgressUnlimited / "
-        "BM_BroadcastCsr items_per_second: the event loop in its ∞-rate "
-        "parity corner computes the exact delay-only arrivals (byte parity "
-        "pinned by tests/sim_engine_diff_test.cpp), so the ratio prices pure "
-        "DES overhead — the heap carries (time, seq, node, kind) events "
-        "plus per-sender scheduler state instead of bare (dist, node) keys, "
-        "and every Ready node walks its control segment. The soft gate bars "
-        "regressions of this ratio at n=1000, not the absolute value. "
-        "egress_queue_speedup is the finite-rate congestion workload (200 KB "
-        "blocks + 1 KB INV chatter over 33 Mbit/s profile rates): one "
+        "BM_RelaxInnerLoop items_per_second: the event loop in its ∞-rate "
+        "parity corner computes the exact delay-only arrivals of the "
+        "relaxation kernel (byte parity pinned by "
+        "tests/sim_engine_diff_test.cpp), so the ratio prices the DES "
+        "against the delay-only engine the round loop ships — the heap "
+        "carries (time, seq, node, kind) events plus per-sender scheduler "
+        "state instead of bucketed node ids, and every Ready node walks its "
+        "control segment. The soft gate bars regressions of this ratio at "
+        "n=1000, not the absolute value. egress_queue_speedup is the "
+        "finite-rate congestion workload (200 KB blocks + 1 KB INV chatter "
+        "over 33 Mbit/s profile rates) over the same denominator: one "
         "SendDone event per serializing message pushes the event count per "
         "broadcast from O(n) toward O(edges), which is why the congestion "
-        "grid is sized at n=200. Measured on a 1-core container."),
+        "grid is sized at n=200. Every benchmark here runs single-threaded."),
     "scale": (
         "Scale anchor for the settle-once relaxation kernel, which runs "
-        "each source single-threaded on one scratch lane. "
-        "relax_kernel_speedup is the BM_RelaxInnerLoop (a one-source "
-        "simulate_broadcast_batch) items_per_second ratio vs BM_BroadcastCsr "
-        "(the settled-heap CSR reference) at each micro_bench grid size; the "
-        "soft gate bars on n1000. The `scale` block is one n=10^5 "
-        "single-source broadcast (scale_broadcast --nodes 100000 --reps 5, "
-        "median wall-clock per engine: the Topology walker, the CSR heap and "
-        "the kernel, byte parity asserted on the measured run). Every "
-        "engine here is single-threaded, so context.num_cpus does not "
-        "enter the figures."),
+        "each source single-threaded on one scratch lane. No gate reads "
+        "it. The `scale` block is one n=10^5 single-source broadcast "
+        "(scale_broadcast --nodes 100000 --reps 5, median wall-clock per "
+        "engine: the Topology walker and the kernel, byte parity asserted "
+        "on the measured run). Every engine here is single-threaded, so "
+        "context.num_cpus does not enter the figures."),
 }
 
 # The micro_bench subset each anchor records (exact benchmark names).
@@ -124,14 +109,10 @@ MICRO_SLICES = {
     ],
     "broadcast": [
         "BM_Broadcast/200", "BM_Broadcast/1000", "BM_Broadcast/4000",
-        "BM_BroadcastCsr/200", "BM_BroadcastCsr/1000", "BM_BroadcastCsr/4000",
         "BM_RelaxInnerLoop/200", "BM_RelaxInnerLoop/1000",
         "BM_RelaxInnerLoop/4000",
         "BM_CsrBuild/200", "BM_CsrBuild/1000", "BM_CsrBuild/4000",
         "BM_EvalAllSources/200", "BM_EvalAllSources/1000",
-    ],
-    "multi_source": [
-        "BM_MultiSourcePerSourceCsr/200", "BM_MultiSourcePerSourceCsr/1000",
         "BM_MultiSourceBatched/200", "BM_MultiSourceBatched/1000",
         "BM_BroadcastBatchRound/200", "BM_BroadcastBatchRound/1000",
     ],
@@ -144,7 +125,8 @@ MICRO_SLICES = {
         "BM_AdaptiveRoundPatched/200", "BM_AdaptiveRoundPatched/1000",
     ],
     "queuing": [
-        "BM_BroadcastCsr/200", "BM_BroadcastCsr/1000", "BM_BroadcastCsr/4000",
+        "BM_RelaxInnerLoop/200", "BM_RelaxInnerLoop/1000",
+        "BM_RelaxInnerLoop/4000",
         "BM_BroadcastEgressUnlimited/200", "BM_BroadcastEgressUnlimited/1000",
         "BM_BroadcastEgressUnlimited/4000",
         "BM_BroadcastEgress/200", "BM_BroadcastEgress/1000",
@@ -152,7 +134,6 @@ MICRO_SLICES = {
     ],
     "scale": [
         "BM_Broadcast/200", "BM_Broadcast/1000", "BM_Broadcast/4000",
-        "BM_BroadcastCsr/200", "BM_BroadcastCsr/1000", "BM_BroadcastCsr/4000",
         "BM_RelaxInnerLoop/200", "BM_RelaxInnerLoop/1000",
         "BM_RelaxInnerLoop/4000",
     ],
@@ -287,8 +268,7 @@ def scale_block(build_dir, scratch_dir):
     with open(path) as fh:
         data = json.load(fh)
     block = {k: data[k] for k in (
-        "nodes", "seed", "reps", "topology_heap_ms", "csr_heap_ms",
-        "kernel_ms", "csr_snapshot_bytes", "kernel_scratch_bytes",
+        "nodes", "seed", "reps", "topology_heap_ms", "kernel_ms", "csr_snapshot_bytes", "kernel_scratch_bytes",
         "peak_rss_kb")}
     block["peak_rss_budget_kb"] = 1048576  # soak test's 1 GiB ceiling
     return block
@@ -338,23 +318,9 @@ def main():
             "note": NOTES["broadcast"],
             "context": ctx,
             "meta": meta,
-            "broadcast_speedup": speedup(entries, "BM_BroadcastCsr",
-                                         "BM_Broadcast", (200, 1000, 4000)),
             "relax_inner_speedup": speedup(entries, "BM_RelaxInnerLoop",
                                            "BM_Broadcast", (200, 1000, 4000)),
             "micro_bench": slice_entries(entries, "broadcast"),
-        })
-
-        # --- BENCH_multi_source ---
-        write_anchor(args.out_dir, "multi_source", {
-            "schema": SCHEMA,
-            "note": NOTES["multi_source"],
-            "context": ctx,
-            "meta": meta,
-            "multi_source_speedup": speedup(entries, "BM_MultiSourceBatched",
-                                            "BM_MultiSourcePerSourceCsr",
-                                            (200, 1000)),
-            "micro_bench": slice_entries(entries, "multi_source"),
         })
 
         # --- BENCH_incremental_csr ---
@@ -387,10 +353,10 @@ def main():
             "context": ctx,
             "meta": meta,
             "egress_unlimited_speedup": speedup(
-                entries, "BM_BroadcastEgressUnlimited", "BM_BroadcastCsr",
+                entries, "BM_BroadcastEgressUnlimited", "BM_RelaxInnerLoop",
                 (200, 1000, 4000)),
             "egress_queue_speedup": speedup(
-                entries, "BM_BroadcastEgress", "BM_BroadcastCsr",
+                entries, "BM_BroadcastEgress", "BM_RelaxInnerLoop",
                 (200, 1000, 4000)),
             "micro_bench": slice_entries(entries, "queuing"),
         })
@@ -403,9 +369,6 @@ def main():
             "note": NOTES["scale"],
             "context": ctx,
             "meta": meta,
-            "relax_kernel_speedup": speedup(
-                entries, "BM_RelaxInnerLoop", "BM_BroadcastCsr",
-                (200, 1000, 4000)),
             "scale": scale,
             "micro_bench": slice_entries(entries, "scale"),
         })

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 
 #include "metrics/edge_hist.hpp"
 #include "metrics/eval.hpp"
@@ -410,6 +411,16 @@ metrics::Curve run_ideal_multi_seed(ExperimentConfig config, int num_seeds,
 IncrementalResult run_incremental(const ExperimentConfig& config,
                                   double adopter_fraction) {
   PERIGEE_ASSERT(adopter_fraction >= 0.0 && adopter_fraction <= 1.0);
+  // The runner below has no address book and no gossip engine; running
+  // without them would be a different experiment than the config asks for.
+  if (config.partial_view) {
+    throw std::invalid_argument(
+        "run_incremental does not support partial_view (no address book)");
+  }
+  if (config.message_level) {
+    throw std::invalid_argument(
+        "run_incremental does not support message_level (no gossip engine)");
+  }
   Scenario scenario = build_scenario(config);
 
   ExperimentConfig random_start = config;

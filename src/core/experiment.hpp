@@ -204,7 +204,8 @@ metrics::Curve run_ideal_multi_seed(ExperimentConfig config, int num_seeds,
 
 // Incremental-deployment ablation (§1.2): `adopter_fraction` of nodes run
 // Perigee-Subset while the rest keep their random neighbors. λ is reported
-// separately for the two groups.
+// separately for the two groups. Throws std::invalid_argument for
+// partial_view or message_level configs, which this ablation does not model.
 struct IncrementalResult {
   std::vector<double> lambda_adopters;
   std::vector<double> lambda_others;

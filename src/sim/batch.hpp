@@ -20,9 +20,9 @@
 ///    and results are therefore byte-identical at any worker count — the
 ///    same determinism contract as the sweep runner.
 ///
-/// Outputs are byte-for-byte identical to both the legacy Topology-walking
-/// engine and the single-source CSR engine; `tests/sim_engine_diff_test.cpp`
-/// holds all three to that across every scenario regime.
+/// Outputs are byte-for-byte identical to the reference Topology-walking
+/// engine; `tests/sim_engine_diff_test.cpp` holds the two to that across
+/// every scenario regime.
 #pragma once
 
 #include <cstddef>

@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <queue>
+#include <utility>
 
-#include "sim/dary_heap.hpp"
+#include "sim/batch.hpp"
 #include "util/assert.hpp"
-#include "util/prefetch.hpp"
 #include "util/stats.hpp"
 
 namespace perigee::sim {
@@ -58,61 +58,13 @@ BroadcastResult simulate_broadcast(const net::Topology& topology,
   return result;
 }
 
-void simulate_broadcast(const net::CsrTopology& csr, net::NodeId miner,
-                        BroadcastScratch& scratch, BroadcastResult& result) {
-  const std::size_t n = csr.size();
-  PERIGEE_ASSERT(miner < n);
-
-  result.miner = miner;
-  result.arrival.assign(n, util::kInf);
-  result.ready.assign(n, util::kInf);
-  result.arrival[miner] = 0.0;
-  result.ready[miner] = 0.0;  // the miner does not validate its own block
-
-  scratch.settled.assign(n, 0);
-  scratch.heap.clear();
-  heap_push(scratch.heap, {0.0, miner});
-
-  const std::size_t* offsets = csr.offsets();
-  const std::size_t* row_ends = csr.row_ends();
-  const net::NodeId* peers = csr.peer_data();
-  const double* delays = csr.delay_data();
-
-  // Same micro-pass as the batched engine's hot loop (see batch.cpp): the
-  // settled/forwards gate collapses the row to empty instead of branching,
-  // and upcoming arrival slots are software-prefetched. The per-edge
-  // settled[v] skip is dropped — for a settled v, arrival[v] <= ready <=
-  // cand already makes the improvement test false, so no store sequence
-  // changes (the parity suites pin this engine to the legacy walker).
-  while (!scratch.heap.empty()) {
-    const net::NodeId u = heap_pop(scratch.heap).second;
-    const std::uint8_t was_settled = scratch.settled[u];
-    scratch.settled[u] = 1;
-    const bool live =
-        (was_settled == 0) & (csr.forwards(u) | (u == miner));
-    const std::size_t row_begin = offsets[u];
-    const std::size_t row_end = live ? row_ends[u] : row_begin;
-    const double ready = result.ready[u];
-    for (std::size_t e = row_begin; e < row_end; ++e) {
-      if (e + util::kEdgePrefetchDistance < row_end) {
-        PERIGEE_PREFETCH(&result.arrival[peers[e + util::kEdgePrefetchDistance]]);
-      }
-      const net::NodeId v = peers[e];
-      const double cand = ready + delays[e];
-      if (cand < result.arrival[v]) {
-        result.arrival[v] = cand;
-        result.ready[v] = cand + csr.validation_ms(v);
-        heap_push(scratch.heap, {cand, v});
-      }
-    }
-  }
-}
-
 BroadcastResult simulate_broadcast(const net::CsrTopology& csr,
                                    net::NodeId miner) {
-  BroadcastScratch scratch;
+  MultiSourceScratch scratch;
+  MultiSourceResult batch;
+  simulate_broadcast_batch(csr, {&miner, 1}, scratch, batch);
   BroadcastResult result;
-  simulate_broadcast(csr, miner, scratch, result);
+  batch.extract(0, result);
   return result;
 }
 

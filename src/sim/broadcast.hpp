@@ -8,24 +8,21 @@
 ///   ready(u)    = arrival(u) + Δu          (the miner skips validation)
 /// which a Dijkstra-style relaxation computes exactly in O(E log V).
 ///
-/// Three engines compute that relaxation, all to the same bytes:
+/// Two engines compute that relaxation, to the same bytes:
 ///  - the reference engine walks `net::Topology` link lists through a
-///    binary `std::priority_queue`, resolving δ per edge visit;
-///  - the single-source CSR engine runs on a compiled `net::CsrTopology`
-///    (pre-resolved δ, contiguous rows) with a 4-ary heap and caller-owned
-///    reusable scratch buffers.
-///  Both are kept as parity oracles and for single-shot callers. The round
-///  loop and the metrics use the third:
-///  - the settle-once bucket kernel (sim/parallel.hpp) over the same CSR,
-///    run once per source on one scratch lane by the batched engine
-///    (sim/batch.hpp), which fans a batch's sources across the pool.
+///    binary `std::priority_queue`, resolving δ per edge visit; it is the
+///    parity oracle every engine test compares against;
+///  - the settle-once bucket kernel (sim/parallel.hpp) over a compiled
+///    `net::CsrTopology`, run once per source on one scratch lane by the
+///    batched engine (sim/batch.hpp), which fans a batch's sources across
+///    the pool. The round loop, the metrics and the single-shot CSR
+///    overload below all run it.
 /// Their outputs are bit-identical — arrival is the exact minimum over
 /// identical per-path sums, independent of relaxation order — and
 /// `tests/sim_csr_parity_test.cpp` + `tests/sim_engine_diff_test.cpp`
 /// enforce it byte for byte.
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "net/csr.hpp"
@@ -44,30 +41,14 @@ struct BroadcastResult {
   std::vector<double> ready;
 };
 
-/// Reusable per-worker arena for the single-source CSR engine: the heap and
-/// settled buffers survive across calls, so a caller simulating many blocks
-/// allocates them once. Not thread-safe; give each worker its own instance.
-/// (The round loop and the multi-source eval run the relaxation kernel on
-/// the batched engine's `MultiSourceScratch` arena instead — this one
-/// serves the parity oracle and single-shot callers.)
-struct BroadcastScratch {
-  std::vector<std::pair<double, net::NodeId>> heap;  ///< 4-ary (arrival, node)
-  std::vector<std::uint8_t> settled;                 ///< per-node visited flag
-};
-
 /// Reference engine over the mutable Topology (kept as the parity oracle).
 BroadcastResult simulate_broadcast(const net::Topology& topology,
                                    const net::Network& network,
                                    net::NodeId miner);
 
-/// CSR fast path: relaxation over pre-resolved δ arrays with a 4-ary heap.
-/// Reuses `scratch` buffers and writes into `result` (vectors are resized as
-/// needed), so a caller looping over miners performs no steady-state
-/// allocation. Bit-identical to the reference engine.
-void simulate_broadcast(const net::CsrTopology& csr, net::NodeId miner,
-                        BroadcastScratch& scratch, BroadcastResult& result);
-
-/// Convenience CSR overload allocating its own scratch and result.
+/// Single-shot CSR broadcast: a one-source `simulate_broadcast_batch`
+/// copied out into the single-source result shape. Allocates its own
+/// scratch; loops over many sources should batch them instead.
 BroadcastResult simulate_broadcast(const net::CsrTopology& csr,
                                    net::NodeId miner);
 

@@ -1,7 +1,6 @@
 /// \file
-/// \brief 4-ary min-heap over (key, node) pairs, shared by the single-source
-/// CSR engine, the relaxation kernel's heap fallback and the egress event
-/// loop.
+/// \brief 4-ary min-heap over (key, node) pairs, shared by the relaxation
+/// kernel's heap fallback and the egress event loop.
 ///
 /// Ordered lexicographically — the same total order
 /// `std::priority_queue<pair, greater<>>` pops in, so every engine built on

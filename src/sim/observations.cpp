@@ -59,11 +59,6 @@ void ObservationTable::record_block(const net::Topology& topology,
 }
 
 void ObservationTable::record_block(const net::CsrTopology& csr,
-                                    const BroadcastResult& result) {
-  record_block(csr, result.miner, result.ready);
-}
-
-void ObservationTable::record_block(const net::CsrTopology& csr,
                                     net::NodeId miner,
                                     std::span<const double> ready_times) {
   PERIGEE_ASSERT(blocks_recorded_ < blocks_per_round_);

@@ -36,17 +36,13 @@ class ObservationTable {
                     const net::Network& network,
                     const BroadcastResult& result);
 
-  /// CSR fast path: same appends, but δ(v, neighbor i) is the pre-resolved
-  /// entry i of the snapshot's row v — valid because the snapshot preserves
-  /// `Topology::adjacency` order and the topology is static within a round.
-  /// Bit-identical to the reference overload; the snapshot must be built
-  /// from the same topology captured by begin_round.
-  void record_block(const net::CsrTopology& csr, const BroadcastResult& result);
-
-  /// Stripe form of the CSR fast path: consumes one source's slice of a
-  /// batched result (sim/batch.hpp) without copying it into a
-  /// `BroadcastResult`. The round loop records every block of a batch
-  /// through this.
+  /// CSR fast path: same appends from one source's ready times (a stripe
+  /// of a batched result, sim/batch.hpp), but δ(v, neighbor i) is the
+  /// pre-resolved entry i of the snapshot's row v — valid because the
+  /// snapshot preserves `Topology::adjacency` order and the topology is
+  /// static within a round. Bit-identical to the reference overload; the
+  /// snapshot must be built from the same topology captured by begin_round.
+  /// The round loop records every block of a batch through this.
   void record_block(const net::CsrTopology& csr, net::NodeId miner,
                     std::span<const double> ready);
 

@@ -23,7 +23,7 @@
 ///  - settle-once makes the relax order *within* a bucket irrelevant to
 ///    the outputs: every arrival is the unique fixed point of the Bellman
 ///    recurrence computed through identical double additions, so the
-///    result is byte-identical to the sequential heap oracles
+///    result is byte-identical to the reference Topology walker
 ///    (tests/sim_engine_diff_test.cpp pins it).
 ///
 /// Graphs the exact grid cannot serve (no edges, a zero or non-finite

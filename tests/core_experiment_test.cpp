@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "util/stats.hpp"
 
@@ -150,6 +151,18 @@ TEST(Experiment, IncrementalAdoptersBeatHoldouts) {
   // §1.2: peers following Perigee see improvements over those that do not.
   EXPECT_LT(util::mean(result.lambda_adopters),
             util::mean(result.lambda_others));
+}
+
+TEST(Experiment, IncrementalRejectsPartialView) {
+  ExperimentConfig config = small_config(Algorithm::PerigeeSubset);
+  config.partial_view = true;
+  EXPECT_THROW(run_incremental(config, 0.5), std::invalid_argument);
+}
+
+TEST(Experiment, IncrementalRejectsMessageLevel) {
+  ExperimentConfig config = small_config(Algorithm::PerigeeSubset);
+  config.message_level = true;
+  EXPECT_THROW(run_incremental(config, 0.5), std::invalid_argument);
 }
 
 TEST(Experiment, AlgorithmNamesRoundTrip) {

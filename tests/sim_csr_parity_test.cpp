@@ -1,8 +1,9 @@
-// CSR fast-path parity: the compiled-flat-graph engine must reproduce the
-// legacy Topology-walking engine *byte for byte* — same arrival and ready
-// vectors, down to the bit pattern of every double — across random
-// topologies, infra-override links, unreachable nodes, withholding nodes,
-// and both observation-recording paths. The legacy engine is the oracle.
+// CSR fast-path parity: the relaxation kernel over the compiled flat graph
+// must reproduce the legacy Topology-walking engine *byte for byte* — same
+// arrival and ready vectors, down to the bit pattern of every double —
+// across random topologies, infra-override links, unreachable nodes,
+// withholding nodes, and both observation-recording paths. The legacy
+// engine is the oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 
 #include "metrics/eval.hpp"
 #include "net/csr.hpp"
+#include "sim/batch.hpp"
 #include "sim/broadcast.hpp"
 #include "sim/gossip.hpp"
 #include "sim/observations.hpp"
@@ -44,22 +46,29 @@ namespace {
 }
 
 void expect_parity(const net::Topology& topology, const net::Network& network,
-                   sim::BroadcastScratch& scratch) {
+                   sim::MultiSourceScratch& scratch) {
   const net::CsrTopology csr = net::CsrTopology::build(topology, network);
-  sim::BroadcastResult fast;
+  std::vector<net::NodeId> miners;
   for (net::NodeId miner = 0; miner < topology.size();
        miner += std::max<std::size_t>(1, topology.size() / 16)) {
+    miners.push_back(miner);
+  }
+  sim::MultiSourceResult batch;
+  sim::simulate_broadcast_batch(csr, miners, scratch, batch);
+  sim::BroadcastResult fast;
+  for (std::size_t s = 0; s < miners.size(); ++s) {
     const sim::BroadcastResult legacy =
-        sim::simulate_broadcast(topology, network, miner);
-    sim::simulate_broadcast(csr, miner, scratch, fast);
+        sim::simulate_broadcast(topology, network, miners[s]);
+    batch.extract(s, fast);
     EXPECT_EQ(fast.miner, legacy.miner);
-    EXPECT_TRUE(bytes_equal(fast.arrival, legacy.arrival)) << "miner " << miner;
-    EXPECT_TRUE(bytes_equal(fast.ready, legacy.ready)) << "miner " << miner;
+    EXPECT_TRUE(bytes_equal(fast.arrival, legacy.arrival))
+        << "miner " << miners[s];
+    EXPECT_TRUE(bytes_equal(fast.ready, legacy.ready)) << "miner " << miners[s];
   }
 }
 
 TEST(CsrParity, RandomTopologiesAcrossSeeds) {
-  sim::BroadcastScratch scratch;  // deliberately shared across all cases
+  sim::MultiSourceScratch scratch;  // deliberately shared across all cases
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     net::NetworkOptions options;
     options.n = 120 + 30 * seed;
@@ -85,7 +94,7 @@ TEST(CsrParity, InfraOverrideLinks) {
   for (net::NodeId v = 10; v < 60; v += 7) {
     ASSERT_TRUE(topology.add_infra_edge(0, v, 0.5));
   }
-  sim::BroadcastScratch scratch;
+  sim::MultiSourceScratch scratch;
   expect_parity(topology, network, scratch);
 }
 
@@ -128,7 +137,7 @@ TEST(CsrParity, WithholdingNodesMatchOracle) {
   net::Topology topology(options.n);
   util::Rng rng(13);
   topo::build_random(topology, rng);
-  sim::BroadcastScratch scratch;
+  sim::MultiSourceScratch scratch;
   expect_parity(topology, network, scratch);
 }
 
@@ -145,12 +154,10 @@ TEST(CsrParity, ObservationRecordingMatchesLegacyPath) {
   sim::ObservationTable legacy_obs, csr_obs;
   legacy_obs.begin_round(topology, 3);
   csr_obs.begin_round(topology, 3);
-  sim::BroadcastScratch scratch;
-  sim::BroadcastResult result;
   for (net::NodeId miner : {net::NodeId{3}, net::NodeId{40}, net::NodeId{77}}) {
-    sim::simulate_broadcast(csr, miner, scratch, result);
+    const sim::BroadcastResult result = sim::simulate_broadcast(csr, miner);
     legacy_obs.record_block(topology, network, result);
-    csr_obs.record_block(csr, result);
+    csr_obs.record_block(csr, result.miner, result.ready);
   }
   for (net::NodeId v = 0; v < topology.size(); ++v) {
     ASSERT_EQ(csr_obs.neighbor_count(v), legacy_obs.neighbor_count(v));

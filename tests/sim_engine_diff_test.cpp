@@ -6,16 +6,17 @@
 // clustered networks, adversarial withholding, churn-mutated graphs, infra
 // overlays, disconnected fragments — each asserting that
 //
-//      legacy Topology walk  ≡  single-source CSR  ≡  batched engine
+//      legacy Topology walk  ≡  single-shot CSR  ≡  batched engine
 //
 // byte-for-byte on the arrival AND ready vectors (memcmp of the doubles, so
 // even a one-ulp divergence or a -0.0 fails). The legacy engine is the
-// oracle. The batched engine runs the settle-once bucket kernel once per
-// source on its worker's lane (or, where the graph's plan is rejected, its
-// heap fallback), inline and through pools of 2, 3 and 4 workers to pin the
-// any-worker-count determinism contract in every regime (including the
-// rejected-plan, disconnected and churn-patched shapes, plus graphs built
-// from tied and 1-ulp-apart path sums).
+// oracle. The CSR legs run the settle-once bucket kernel once per source on
+// a worker's lane (or, where the graph's plan is rejected, its heap
+// fallback): single-shot with fresh scratch, and batched inline and through
+// pools of 2, 3 and 4 workers to pin the any-worker-count determinism
+// contract in every regime (including the rejected-plan, disconnected and
+// churn-patched shapes, plus graphs built from tied and 1-ulp-apart path
+// sums).
 // The egress queuing engine (sim/egress.hpp) joins at infinite rate and
 // zero message size, where docs/TRANSMISSION_MODEL.md claims it IS the
 // delay-only model: single-source and batched (inline + pooled), both held
@@ -119,12 +120,10 @@ void expect_three_engine_parity(const net::Topology& topology,
                                          &pool);
   }
 
-  sim::BroadcastScratch csr_scratch;
-  sim::BroadcastResult via_csr;
   for (std::size_t s = 0; s < miners.size(); ++s) {
     const sim::BroadcastResult legacy =
         sim::simulate_broadcast(topology, network, miners[s]);
-    sim::simulate_broadcast(csr, miners[s], csr_scratch, via_csr);
+    const sim::BroadcastResult via_csr = sim::simulate_broadcast(csr, miners[s]);
     SCOPED_TRACE(::testing::Message() << "miner=" << miners[s]);
     EXPECT_TRUE(bytes_equal(via_csr.arrival, legacy.arrival));
     EXPECT_TRUE(bytes_equal(via_csr.ready, legacy.ready));

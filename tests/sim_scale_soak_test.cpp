@@ -4,7 +4,7 @@
 //
 //  - completion: every BFS-reachable node gets a finite arrival, every
 //    unreachable node stays +inf (exact count equality, not a sample);
-//  - byte parity with the single-source CSR reference engine at this scale;
+//  - byte parity with the reference Topology walker at this scale;
 //  - the whole process stays under a declared peak-RSS budget
 //    (obs::peak_rss_kb, i.e. VmHWM — the same number BENCH_scale.json
 //    anchors), scaled up under sanitizer builds for shadow/redzone cost.
@@ -97,11 +97,10 @@ TEST(ScaleSoak, HundredThousandNodeBroadcastCompletesWithinBudget) {
   EXPECT_EQ(result.arrival[src], 0.0);
   EXPECT_EQ(result.ready[src], 0.0);
 
-  // Byte parity with the single-source reference engine holds at scale,
-  // not just on the diff harness's small graphs.
-  sim::BroadcastScratch ref_scratch;
-  sim::BroadcastResult reference;
-  sim::simulate_broadcast(csr, src, ref_scratch, reference);
+  // Byte parity with the reference walker holds at scale, not just on the
+  // diff harness's small graphs.
+  const sim::BroadcastResult reference =
+      sim::simulate_broadcast(topology, network, src);
   ASSERT_EQ(reference.arrival.size(), result.arrival.size());
   EXPECT_EQ(std::memcmp(reference.arrival.data(), result.arrival.data(),
                         kNodes * sizeof(double)),
