@@ -169,6 +169,20 @@ BENCHMARK(BM_MultiSourceBatched)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
+// The ideal bound (Figure 3's "ideal"): the δ-matrix build plus one dense
+// Dijkstra per source on the full mesh. No gate; the bench shows the cost
+// of the fused settle pass next to the sparse evaluations above.
+void BM_EvalIdeal(benchmark::State& state) {
+  Fixture f(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        metrics::eval_ideal_multi(*f.network, {0.90, 0.50}));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_EvalIdeal)->Arg(200)->Arg(1000)->Unit(benchmark::kMillisecond);
+
 // Round-shaped batch: |B| = 100 hash-weighted miners through the batched
 // engine with materialized stripes, the RoundRunner dispatch shape.
 void BM_BroadcastBatchRound(benchmark::State& state) {

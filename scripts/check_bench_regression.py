@@ -17,6 +17,12 @@ across CI runners would be noise. Anchor pairs today:
 If the current ratio falls more than --max-regression below the anchor's
 ratio, a GitHub Actions ::warning:: annotation is emitted.
 
+Each bench is read from its `median` aggregate when the run has one
+(--benchmark_repetitions=N --benchmark_report_aggregates_only=true, as CI
+runs the gate benches), so one slow repetition does not move the ratio; a
+single-run file (the anchors' own micro slices) is read from its plain
+entries.
+
 The regression check is deliberately soft: a slower ratio never fails the
 build, because shared CI runners are too noisy for a hard perf wall. It
 exists to make a real fast-path regression loud in the PR checks without
@@ -37,12 +43,21 @@ import sys
 
 
 def items_per_second(entries, name):
+    """items_per_second of bench `name`: the median aggregate of a
+    --benchmark_repetitions run when present, else the plain entry."""
+    plain = None
     for entry in entries:
-        if entry.get("name") == name:
-            ips = entry.get("items_per_second")
-            if ips:
-                return float(ips)
-    return None
+        ips = entry.get("items_per_second")
+        if not ips:
+            continue
+        if (
+            entry.get("run_name") == name
+            and entry.get("aggregate_name") == "median"
+        ):
+            return float(ips)
+        if plain is None and entry.get("name") == name:
+            plain = float(ips)
+    return plain
 
 
 def main():

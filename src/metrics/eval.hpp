@@ -81,7 +81,14 @@ std::vector<double> eval_ideal(const net::Network& network,
 
 /// Same bound evaluated at several coverages from a single Dijkstra pass and
 /// a single sort per source (the pass dominates; extra coverages are nearly
-/// free). Returns one λ vector per coverage, in input order.
+/// free). Returns one λ vector per coverage, in input order. The pass keeps
+/// the unsettled nodes in a packed list in ascending id order, with their
+/// tentative arrival and ready times beside the ids; each settle is one
+/// streaming loop over it that relaxes over the settler's δ row (unless the
+/// settler withholds and is not the source), compacts the settler out and
+/// picks the next one (earliest arrival, lowest id on ties). Byte-identical
+/// to the two-scan dense Dijkstra kept as the oracle in
+/// tests/metrics_eval_test.cpp.
 std::vector<std::vector<double>> eval_ideal_multi(
     const net::Network& network, const std::vector<double>& coverages,
     const net::Topology* infra = nullptr);

@@ -58,15 +58,53 @@ void append_label(std::string& label, std::string_view part) {
   label += part;
 }
 
+// Throws std::invalid_argument, naming the cell and the field, for a config
+// that cannot run; asserts would otherwise stop the sweep partway through.
+void validate_cell(const SweepCell& cell) {
+  const core::ExperimentConfig& c = cell.config;
+  std::ostringstream problem;
+  // λ is the time until a block reaches this fraction of the hash power.
+  if (!(c.coverage > 0.0 && c.coverage <= 1.0)) {
+    problem << "coverage " << c.coverage << " is outside (0, 1]";
+  } else if (c.net.n < 2) {
+    problem << "n " << c.net.n << " is below 2";
+  } else if (c.rounds < 0) {
+    problem << "rounds " << c.rounds << " is negative";
+  } else if (c.blocks_per_round < 1) {
+    problem << "blocks_per_round " << c.blocks_per_round << " is below 1";
+  } else if (c.checkpoints < 0) {
+    problem << "checkpoints " << c.checkpoints << " is negative";
+  } else if (c.params.keep > c.limits.out_cap) {
+    problem << "keep " << c.params.keep << " exceeds the out cap "
+            << c.limits.out_cap;
+  } else if (!(c.net.jitter_frac >= 0.0 && c.net.jitter_frac < 1.0)) {
+    problem << "jitter_frac " << c.net.jitter_frac << " is outside [0, 1)";
+  } else {
+    const std::pair<const char*, double> fractions[] = {
+        {"percentile", c.params.percentile},
+        {"pool_fraction", c.pools.pool_fraction},
+        {"pool_share", c.pools.pool_share},
+        {"churn rate", c.scenario.churn.rate},
+        {"fast_fraction", c.scenario.hetero.fast_fraction},
+        {"fast_hash_share", c.scenario.hetero.fast_hash_share},
+        {"geo concentration", c.scenario.geo.concentration},
+        {"withhold_fraction", c.scenario.adversary.withhold_fraction},
+    };
+    for (const auto& [name, value] : fractions) {
+      if (!(value >= 0.0 && value <= 1.0)) {
+        problem << name << " " << value << " is outside [0, 1]";
+        break;
+      }
+    }
+  }
+  if (!problem.str().empty()) {
+    throw std::invalid_argument("cell '" + cell.label + "': " + problem.str());
+  }
+}
+
 }  // namespace
 
 std::vector<SweepCell> expand_grid(const SweepSpec& spec) {
-  // λ is the time until a block reaches this fraction of the hash power.
-  if (!(spec.base.coverage > 0.0 && spec.base.coverage <= 1.0)) {
-    std::ostringstream message;
-    message << "coverage " << spec.base.coverage << " is outside (0, 1]";
-    throw std::invalid_argument(message.str());
-  }
   // Axis declaration order == expansion nesting order (outermost first) ==
   // label order. Every axis is either swept (labeled values) or pinned to
   // the base config's value (single unlabeled option).
@@ -158,6 +196,7 @@ std::vector<SweepCell> expand_grid(const SweepSpec& spec) {
       append_label(cell.label, option.label);
     }
     if (cell.label.empty()) cell.label = "base";
+    validate_cell(cell);
     cells.push_back(std::move(cell));
   }
   return cells;

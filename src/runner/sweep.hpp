@@ -80,8 +80,11 @@ struct SweepCell {
 
 // Cartesian expansion in the axis order declared above. Algorithm::Ideal is
 // a valid axis value: its cells are evaluated analytically via run_ideal.
-// Throws std::invalid_argument when base.coverage is outside (0, 1], so a
-// bad grid fails before any job runs.
+// Throws std::invalid_argument, naming the cell and the field, when a
+// cell's config cannot run: coverage outside (0, 1], n < 2, rounds < 0,
+// blocks_per_round < 1, checkpoints < 0, keep above the out cap, or a
+// fraction (percentile, pools, jitter, churn, hetero, geo, withholding)
+// outside [0, 1]. A bad grid fails before any job runs.
 std::vector<SweepCell> expand_grid(const SweepSpec& spec);
 
 // The order SweepRunner's workers claim jobs in, as job indices

@@ -11,6 +11,7 @@
 #include "sim/batch.hpp"
 #include "sim/egress.hpp"
 #include "topo/builders.hpp"
+#include "topo/relay.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -282,6 +283,180 @@ TEST(EvalIdeal, HigherCoverageNeverFaster) {
   const auto l90 = eval_ideal(network, 0.9);
   for (net::NodeId v = 0; v < 50; ++v) {
     EXPECT_LE(l50[v], l90[v] + 1e-9);
+  }
+}
+
+// Test-only oracle for eval_ideal_multi: the dense Dijkstra it replaced,
+// kept verbatim. Each settle scans all n nodes twice — a min-select over a
+// settled bitmap (lowest index wins ties), then a relaxation that reads the
+// node's profile through the Network. λ is read per coverage by
+// lambda_for_broadcast (std::sort, the same pairs and the same total).
+std::vector<std::vector<double>> reference_ideal(
+    const net::Network& network, const std::vector<double>& coverages,
+    const net::Topology* infra) {
+  const std::size_t n = network.size();
+  std::vector<double> delta(n * n, 0.0);
+  for (net::NodeId u = 0; u < n; ++u) {
+    for (net::NodeId v = u + 1; v < n; ++v) {
+      const double d = network.edge_delay_ms(u, v);
+      delta[u * n + v] = d;
+      delta[v * n + u] = d;
+    }
+  }
+  if (infra != nullptr) {
+    for (const auto& [u, v] : infra->infra_edges()) {
+      const double ms = *infra->infra_latency(u, v);
+      delta[u * n + v] = std::min(delta[u * n + v], ms);
+      delta[v * n + u] = std::min(delta[v * n + u], ms);
+    }
+  }
+
+  std::vector<std::vector<double>> lambda(coverages.size(),
+                                          std::vector<double>(n));
+  std::vector<double> arrival(n), ready(n);
+  std::vector<bool> settled(n);
+  for (net::NodeId src = 0; src < n; ++src) {
+    arrival.assign(n, util::kInf);
+    ready.assign(n, util::kInf);
+    settled.assign(n, false);
+    arrival[src] = 0.0;
+    ready[src] = 0.0;
+    for (std::size_t iter = 0; iter < n; ++iter) {
+      std::size_t u = n;
+      double best = util::kInf;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!settled[i] && arrival[i] < best) {
+          best = arrival[i];
+          u = i;
+        }
+      }
+      if (u == n) break;
+      settled[u] = true;
+      if (!network.profile(static_cast<net::NodeId>(u)).forwards && u != src) {
+        continue;
+      }
+      const double r = ready[u];
+      const double* row = delta.data() + u * n;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (settled[v]) continue;
+        const double cand = r + row[v];
+        if (cand < arrival[v]) {
+          arrival[v] = cand;
+          ready[v] =
+              cand + network.validation_ms(static_cast<net::NodeId>(v));
+        }
+      }
+    }
+    sim::BroadcastResult result;
+    result.miner = src;
+    result.arrival = arrival;
+    for (std::size_t k = 0; k < coverages.size(); ++k) {
+      lambda[k][src] = lambda_for_broadcast(result, network, coverages[k]);
+    }
+  }
+  return lambda;
+}
+
+// eval_ideal_multi must reproduce the oracle's bytes for every coverage
+// list, order and repetition.
+void expect_ideal_matches_reference(const net::Network& network,
+                                    const net::Topology* infra = nullptr) {
+  for (const auto& coverages : kCoverageLists) {
+    const auto fused = eval_ideal_multi(network, coverages, infra);
+    const auto reference = reference_ideal(network, coverages, infra);
+    ASSERT_EQ(fused.size(), coverages.size());
+    for (std::size_t k = 0; k < coverages.size(); ++k) {
+      EXPECT_TRUE(bytes_equal(fused[k], reference[k]))
+          << "coverage " << coverages[k];
+    }
+  }
+}
+
+// Geo latencies with the default 40% per-pair jitter and Δv ≈ 2 ms, so
+// relaying through a fast intermediary often beats a slow direct link.
+net::Network make_jittered_network(std::size_t n) {
+  net::NetworkOptions options;
+  options.n = n;
+  options.seed = 41;
+  options.validation_mean_ms = 2.0;
+  return net::Network::build(options);
+}
+
+bool has_two_hop_shortcut(const net::Network& network) {
+  const auto n = static_cast<net::NodeId>(network.size());
+  for (net::NodeId u = 0; u < n; ++u) {
+    for (net::NodeId v = 0; v < n; ++v) {
+      if (v == u) continue;
+      const double direct = network.edge_delay_ms(u, v);
+      for (net::NodeId w = 0; w < n; ++w) {
+        if (w == u || w == v) continue;
+        if (network.edge_delay_ms(u, w) + network.validation_ms(w) +
+                network.edge_delay_ms(w, v) <
+            direct) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+TEST(EvalIdealOracle, JitteredTwoHopPathsMatchBytes) {
+  const auto network = make_jittered_network(60);
+  ASSERT_TRUE(has_two_hop_shortcut(network));
+  expect_ideal_matches_reference(network);
+}
+
+TEST(EvalIdealOracle, WithholdingNodesMatchBytes) {
+  auto network = make_jittered_network(60);
+  const auto all_forward = eval_ideal_multi(network, {0.9, 0.5});
+  // Withholders keep their hash power: they count once reached but never
+  // relay, so paths through them are cut.
+  for (net::NodeId v = 0; v < 60; v += 3) {
+    network.mutable_profiles()[v].forwards = false;
+  }
+  const auto withheld = eval_ideal_multi(network, {0.9, 0.5});
+  EXPECT_FALSE(bytes_equal(withheld[0], all_forward[0]));
+  expect_ideal_matches_reference(network);
+}
+
+TEST(EvalIdealOracle, RelayInfraOverlayMatchesBytes) {
+  auto network = make_jittered_network(80);
+  net::Topology infra(80);
+  util::Rng rng(43);
+  topo::RelayConfig config;
+  config.members = 20;
+  topo::install_relay_tree(infra, network, config, rng);
+  ASSERT_FALSE(infra.infra_edges().empty());
+  EXPECT_FALSE(bytes_equal(eval_ideal_multi(network, {0.9}, &infra)[0],
+                           eval_ideal_multi(network, {0.9})[0]));
+  expect_ideal_matches_reference(network, &infra);
+}
+
+TEST(EvalIdealOracle, ExactTiesMatchBytes) {
+  // Integer positions on a line with δ = |Δx| and Δv = 0: many nodes share
+  // an arrival time exactly (x = ±10 from node 0, the duplicate x = 20 and
+  // x = -20), so the settle order rests on the lowest-id tie-break.
+  auto network = make_line_network(
+      {0.0, 10.0, -10.0, 20.0, 20.0, -20.0, 30.0, -30.0, 10.0, 0.0});
+  ASSERT_EQ(network.edge_delay_ms(0, 1), network.edge_delay_ms(0, 2));
+  ASSERT_EQ(network.edge_delay_ms(0, 3), network.edge_delay_ms(0, 4));
+  expect_ideal_matches_reference(network);
+  network.mutable_profiles()[1].forwards = false;
+  network.mutable_profiles()[4].forwards = false;
+  expect_ideal_matches_reference(network);
+}
+
+// The smallest networks Network::build accepts (n >= 2).
+TEST(EvalIdealOracle, TinyNetworksMatchBytes) {
+  for (const auto& xs :
+       std::vector<std::vector<double>>{{0.0, 10.0}, {0.0, 10.0, 25.0}}) {
+    SCOPED_TRACE(xs.size());
+    auto network = make_line_network(xs, /*validation_ms=*/5.0);
+    expect_ideal_matches_reference(network);
+    // A non-forwarding middle node still relays its own blocks.
+    network.mutable_profiles()[xs.size() / 2].forwards = false;
+    expect_ideal_matches_reference(network);
   }
 }
 

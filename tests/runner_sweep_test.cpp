@@ -7,8 +7,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "runner/json.hpp"
 
@@ -198,6 +202,57 @@ TEST(SweepRunner, RejectsCoverageOutsideUnitIntervalBeforeAnyJob) {
   SweepSpec spec = small_spec();
   spec.base.coverage = 1.0;
   EXPECT_EQ(expand_grid(spec).size(), 3u);
+}
+
+// One bad value per validated field: expand_grid throws before any job runs
+// and names the field in its message.
+TEST(ExpandGrid, RejectsEachBadConfigFieldWithAMessage) {
+  using Mutate = std::function<void(SweepSpec&)>;
+  const std::vector<std::pair<std::string, Mutate>> cases = {
+      {"n 1", [](SweepSpec& s) { s.base.net.n = 1; }},
+      {"n 0", [](SweepSpec& s) { s.nodes = {40, 0}; }},
+      {"rounds", [](SweepSpec& s) { s.base.rounds = -1; }},
+      {"rounds", [](SweepSpec& s) { s.rounds = {2, -3}; }},
+      {"blocks_per_round", [](SweepSpec& s) { s.base.blocks_per_round = 0; }},
+      {"checkpoints", [](SweepSpec& s) { s.base.checkpoints = -1; }},
+      {"keep", [](SweepSpec& s) { s.base.params.keep = 9; }},
+      {"percentile", [](SweepSpec& s) { s.base.params.percentile = 1.5; }},
+      {"pool_fraction", [](SweepSpec& s) { s.base.pools.pool_fraction = -0.1; }},
+      {"pool_share", [](SweepSpec& s) { s.base.pools.pool_share = 2.0; }},
+      {"jitter_frac", [](SweepSpec& s) { s.base.net.jitter_frac = 1.0; }},
+      {"churn rate", [](SweepSpec& s) { s.churn_rates = {0.1, 1.5}; }},
+      {"fast_fraction",
+       [](SweepSpec& s) { s.base.scenario.hetero.fast_fraction = 1.2; }},
+      {"fast_hash_share",
+       [](SweepSpec& s) { s.base.scenario.hetero.fast_hash_share = -1.0; }},
+      {"geo concentration",
+       [](SweepSpec& s) { s.base.scenario.geo.concentration = std::nan(""); }},
+      {"withhold_fraction", [](SweepSpec& s) { s.withhold_fractions = {2.0}; }},
+  };
+  for (const auto& [field, mutate] : cases) {
+    SCOPED_TRACE(field);
+    SweepSpec spec = small_spec();
+    mutate(spec);
+    try {
+      expand_grid(spec);
+      ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ExpandGrid, AcceptsBoundaryValues) {
+  SweepSpec spec = small_spec();
+  spec.base.net.n = 2;
+  spec.base.rounds = 0;
+  spec.base.blocks_per_round = 1;
+  spec.base.params.keep = spec.base.limits.out_cap;
+  spec.base.params.percentile = 1.0;
+  spec.churn_rates = {0.0, 1.0};
+  spec.withhold_fractions = {0.0};
+  EXPECT_EQ(expand_grid(spec).size(), 6u);
 }
 
 TEST(SweepJson, RoundTripsThroughParser) {
